@@ -33,8 +33,7 @@ final class SNTIndex(
     val treeType: TreeType,
 ) extends Serializable {
 
-  private val SeqBits = 14 // routes are ≤ a few hundred segments; 14 bits is ample
-  @inline private def key(d: Long, seq: Int): Long = (d << SeqBits) | seq.toLong
+  @inline private def key(d: Long, seq: Int): Long = (d << SNTIndex.SeqBits) | seq.toLong
 
   /** Procedure 2 across temporal partitions: one ISA range per partition. */
   def pathRanges(path: IndexedSeq[Int]): Array[(Int, Int)] = {
@@ -163,21 +162,15 @@ final class SNTIndex(
     }
     s
   }
-  /** Forest size when the partition-id column is dropped (single-partition
-    * deployments, §6.3).
-    */
-  def memForestNoPartitionIds: Long = {
-    var s = 0L
-    var e = 0
-    while (e < records.length) {
-      if (records(e) != null) s += records(e).memoryBytesNoPartition + search(e).memoryBytes
-      e += 1
-    }
-    s
-  }
 }
 
 object SNTIndex {
+
+  /** Bits of the segment position `seq` in the (d, seq) keys of Procedures 3–4.
+    * Routes are a few hundred segments; `build` rejects longer trajectories
+    * than the bits can hold, whose keys would alias.
+    */
+  private val SeqBits = 14
 
   /** Build the index from in-memory trajectories.
     *
@@ -187,6 +180,8 @@ object SNTIndex {
   def build(net: RoadNetwork, trajs: Array[Traj], treeType: TreeType = CssForest,
             partitionDays: Option[Int] = None): SNTIndex = {
     require(trajs.nonEmpty, "no trajectories")
+    trajs.foreach(t => require(t.length < (1 << SeqBits),
+      s"trajectory ${t.id} has ${t.length} segments; at most ${(1 << SeqBits) - 1} are supported"))
     val day = 86400L
     val tmin = trajs.iterator.map(_.t0).min
     val tmax = trajs.iterator.map(t => t.times(t.length - 1) + math.ceil(t.tts(t.length - 1)).toLong).max + 1

@@ -78,5 +78,7 @@ final case class Spq(
     relaxed: Boolean = false,
 ) {
   require(path.nonEmpty, "empty path")
+  require(interval.sizeSec >= 0, s"interval $interval starts after it ends")
+  require(beta.forall(_ > 0), s"cardinality requirement β must be positive, got ${beta.get}")
   def length: Int = path.length
 }

@@ -3,12 +3,24 @@ package repro.core
 import repro.hist.Histogram
 
 /** Result of one accepted sub-query: its position in the original path and
-  * the retrieved travel-time sample X.
+  * the retrieved travel-time sample X (non-empty). Its minimum, maximum and
+  * mean are computed once here: shift-and-enlarge reads them on every later
+  * dispatch. Min and max follow the total order of `java.lang.Double.compare`,
+  * as `x.min` / `x.max` do.
   */
 final case class SubResult(startIdx: Int, endIdx: Int, x: Array[Double], relaxed: Boolean) {
-  def mean: Double = { var s = 0.0; var i = 0; while (i < x.length) { s += x(i); i += 1 }; s / x.length }
-  def min: Double = x.min
-  def max: Double = x.max
+  require(x.nonEmpty, s"empty travel-time sample for sub-path [$startIdx, $endIdx)")
+  val min: Double = {
+    var m = x(0); var i = 1
+    while (i < x.length) { if (java.lang.Double.compare(x(i), m) < 0) m = x(i); i += 1 }
+    m
+  }
+  val max: Double = {
+    var m = x(0); var i = 1
+    while (i < x.length) { if (java.lang.Double.compare(x(i), m) > 0) m = x(i); i += 1 }
+    m
+  }
+  val mean: Double = { var s = 0.0; var i = 0; while (i < x.length) { s += x(i); i += 1 }; s / x.length }
   def pathLen: Int = endIdx - startIdx
 }
 
@@ -40,8 +52,15 @@ final class TripQueryProcessor(
 ) extends Serializable {
 
   def run(q: Spq, pi: Partitioner): TripResult = {
+    val bad = q.path.indexWhere(e => e < 1 || e > index.net.numEdges)
+    require(bad < 0, s"edge id ${q.path(bad)} at path position $bad is outside [1, ${index.net.numEdges}]")
     var queue: List[Spq] = pi(q, index.net).sortBy(_.startIdx).toList
     val done = collection.mutable.ArrayBuffer.empty[SubResult]
+    // S and R of shift-and-enlarge: sums of the minima and ranges of every
+    // accepted sub-result. Sub-queries complete in path order, so all of them
+    // precede the sub-query being dispatched.
+    var sumMin = 0.0
+    var sumRange = 0.0
     var calls = 0
     var skips = 0
     var guard = 0
@@ -53,10 +72,7 @@ final class TripQueryProcessor(
       // Shift-and-enlarge at dispatch (Procedure 6 lines 3–5), relative to the
       // unshifted base interval so repeated relaxations don't double-shift.
       val effective: TimeInterval = qi.interval match {
-        case p: PeriodicInterval if qi.startIdx > 0 =>
-          val prev = done.filter(_.endIdx <= qi.startIdx)
-          if (prev.isEmpty) p
-          else p.shiftAndEnlarge(prev.map(_.min).sum, prev.map(r => r.max - r.min).sum)
+        case p: PeriodicInterval if qi.startIdx > 0 => p.shiftAndEnlarge(sumMin, sumRange)
         case iv => iv
       }
       val effQ = qi.copy(interval = effective)
@@ -70,7 +86,10 @@ final class TripQueryProcessor(
         calls += 1
         val x = index.getTravelTimes(effQ)
         if (x.nonEmpty) {
-          done += SubResult(qi.startIdx, qi.endIdx, x, qi.relaxed)
+          val r = SubResult(qi.startIdx, qi.endIdx, x, qi.relaxed)
+          done += r
+          sumMin += r.min
+          sumRange += r.max - r.min
           queue = rest
         } else {
           queue = splitter(qi) ++: rest

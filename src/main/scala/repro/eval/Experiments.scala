@@ -31,7 +31,7 @@ object Experiments {
       days: Int = 365, numQueries: Int = 300, seed: Long = 7L,
   )
 
-  /** Bench scale (~1.5 M traversals) and test scale (~40 K traversals). */
+  /** Bench scale (1 090 427 traversals) and test scale (~40 K traversals). */
   val BenchScale: Scale = Scale(numTraj = 60000, numRoutes = 500)
   val TestScale: Scale = Scale(gridW = 12, gridH = 12, numTraj = 2000, numDrivers = 40,
                                numRoutes = 80, days = 120, numQueries = 40)

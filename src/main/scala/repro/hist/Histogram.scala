@@ -23,13 +23,7 @@ final case class Histogram(h: Double, counts: Map[Int, Double]) {
   /** Discrete convolution H ∗ H′ (§2.3): bucket indexes add, counts multiply.
     * Matches the paper's worked example (H1∗H2 over ⟨A,B⟩/⟨E⟩).
     */
-  def convolve(o: Histogram): Histogram = {
-    require(h == o.h, s"bucket width mismatch: $h vs ${o.h}")
-    val m = collection.mutable.HashMap.empty[Int, Double]
-    for ((b1, c1) <- counts; (b2, c2) <- o.counts)
-      m.update(b1 + b2, m.getOrElse(b1 + b2, 0.0) + c1 * c2)
-    Histogram(h, m.toMap)
-  }
+  def convolve(o: Histogram): Histogram = Histogram.convolveAll(Seq(this, o))
 
   /** Smoothed discrete pdf mass of §5.3.3: γ·f(x,H) + (1−γ)·uniform mass over
     * [tmin, tmax), where f is the bucket's fraction of the total mass.
@@ -46,9 +40,81 @@ final case class Histogram(h: Double, counts: Map[Int, Double]) {
 
 object Histogram {
   /** createHistogram(X) of Procedure 6: bucket the raw travel times. */
-  def create(xs: Iterable[Double], h: Double): Histogram =
-    Histogram(h, xs.groupBy(x => math.floor(x / h).toInt).map { case (b, g) => b -> g.size.toDouble })
+  def create(xs: Iterable[Double], h: Double): Histogram = create(xs.toArray, h)
 
-  /** Convolution of a non-empty sequence (H = H1 ∗ … ∗ Hk). */
-  def convolveAll(hs: Seq[Histogram]): Histogram = hs.reduceLeft(_ convolve _)
+  /** createHistogram(X) over a primitive sample: sort the bucket ids and count
+    * runs. Counts are sums of 1.0, so they are exact.
+    */
+  def create(xs: Array[Double], h: Double): Histogram = {
+    val ids = new Array[Int](xs.length)
+    var i = 0
+    while (i < xs.length) { ids(i) = math.floor(xs(i) / h).toInt; i += 1 }
+    java.util.Arrays.sort(ids)
+    val m = Map.newBuilder[Int, Double]
+    i = 0
+    while (i < ids.length) {
+      var j = i + 1
+      while (j < ids.length && ids(j) == ids(i)) j += 1
+      m += ids(i) -> (j - i).toDouble
+      i = j
+    }
+    Histogram(h, m.result())
+  }
+
+  /** Largest bucket span the dense convolution allocates (2^26 buckets). */
+  private val MaxSpan = 1L << 26
+
+  /** A histogram's counts laid out densely from bucket `base`; `has` marks
+    * the buckets present in the map, so a present zero count stays present.
+    */
+  private final class Dense(val base: Int, val c: Array[Double], val has: Array[Boolean])
+
+  private def dense(hist: Histogram): Dense = {
+    val base = hist.counts.keysIterator.min
+    val c = new Array[Double](hist.counts.keysIterator.max - base + 1)
+    val has = new Array[Boolean](c.length)
+    for ((b, v) <- hist.counts) { c(b - base) = v; has(b - base) = true }
+    new Dense(base, c, has)
+  }
+
+  /** a ∗ b over dense arrays; each output bucket sums its products in
+    * ascending order of a's bucket.
+    */
+  private def convolveDense(a: Dense, b: Dense): Dense = {
+    val c = new Array[Double](a.c.length + b.c.length - 1)
+    val has = new Array[Boolean](c.length)
+    var i = 0
+    while (i < a.c.length) {
+      if (a.has(i)) {
+        val ai = a.c(i)
+        var j = 0
+        while (j < b.c.length) {
+          if (b.has(j)) { c(i + j) += ai * b.c(j); has(i + j) = true }
+          j += 1
+        }
+      }
+      i += 1
+    }
+    new Dense(a.base + b.base, c, has)
+  }
+
+  /** Convolution of a non-empty sequence (H = H1 ∗ … ∗ Hk), left to right.
+    * Each histogram becomes one dense array; the result map is built once.
+    * While every count stays an integer below 2^53 the result is exact, so it
+    * does not depend on the summation order.
+    */
+  def convolveAll(hs: Seq[Histogram]): Histogram = {
+    require(hs.nonEmpty, "convolveAll needs at least one histogram")
+    val h = hs.head.h
+    hs.foreach(o => require(o.h == h, s"bucket width mismatch: $h vs ${o.h}"))
+    if (hs.lengthCompare(1) == 0) return hs.head
+    if (hs.exists(_.isEmpty)) return Histogram(h, Map.empty)
+    val span = hs.iterator.map(o => o.counts.keysIterator.max.toLong - o.counts.keysIterator.min + 1).sum
+    require(span <= MaxSpan, s"convolution would span $span buckets; at most $MaxSpan are supported")
+    val d = hs.iterator.map(dense).reduceLeft(convolveDense)
+    val m = Map.newBuilder[Int, Double]
+    var i = 0
+    while (i < d.c.length) { if (d.has(i)) m += (d.base + i) -> d.c(i); i += 1 }
+    Histogram(h, m.result())
+  }
 }

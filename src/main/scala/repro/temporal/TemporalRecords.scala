@@ -46,10 +46,6 @@ object TemporalRecords {
 trait TemporalSearch extends Serializable {
   /** First position with t ≥ key. */
   def lowerBound(key: Long): Int
-  /** First position with t ≥ key, i.e. upperBound(te) − lowerBound(ts) is the
-    * exact record count in [ts, te).
-    */
-  def upperBound(key: Long): Int = lowerBound(key)
   /** Whether exact range counts are part of the variant's API contract
     * (CSS-trees: yes, used by the CSS-Fast/CSS-Acc estimator modes, §4.4;
     * B+-trees: no, the BT modes fall back to Eq. 3).

@@ -178,4 +178,12 @@ class SNTIndexSpec extends AnyFunSuite {
     assert(i.tminGlobal == trajs.map(_.t0).min)
     assert(trajs.forall(t => t.times.last < i.tmaxGlobal))
   }
+
+  test("build rejects a trajectory too long for the (d, seq) key") {
+    // 2^14 segments: seq would spill into the trajectory-id bits of the key.
+    val n = 1 << 14
+    val long = Traj(9, u1, Array.fill(n)(A), Array.tabulate(n)(_.toLong * 10), Array.fill(n)(5.0))
+    val e = intercept[IllegalArgumentException](SNTIndex.build(paperNetwork, paperTrajs :+ long))
+    assert(e.getMessage.contains(s"trajectory 9 has $n segments; at most ${n - 1} are supported"))
+  }
 }

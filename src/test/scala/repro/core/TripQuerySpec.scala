@@ -1,9 +1,10 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.eval.{Experiments, Workload}
 import repro.hist.Histogram
 import repro.network.NetworkGen
-import repro.testutil.Fixtures
+import repro.testutil.{Fixtures, ReferenceTripQuery}
 import repro.traj.TrajectoryGen
 
 import scala.util.Random
@@ -133,5 +134,86 @@ class TripQuerySpec extends AnyFunSuite {
     val res = proc().run(q, RegularPartitioner(2))
     val manual = Histogram.convolveAll(res.sub.map(r => Histogram.create(r.x, 1.0)))
     assert(res.histogram.counts == manual.counts)
+  }
+
+  test("run rejects an edge id outside [1, numEdges] before the FM-index sees it") {
+    for (bad <- Seq(0, -1, paperNetwork.numEdges + 1)) {
+      val q = Spq(Vector(A, bad, E), FixedInterval(0, 15), None, Some(2), 0, 3)
+      val e = intercept[IllegalArgumentException](proc().run(q, NonePartitioner))
+      assert(e.getMessage.contains(s"edge id $bad at path position 1"))
+    }
+  }
+
+  test("run matches the reference Procedure 6 on TestScale queries (every π, σ, workload and layout)") {
+    val s = Experiments.TestScale
+    val net = NetworkGen.generate(s.gridW, s.gridH, s.seed)
+    val trajs = TrajectoryGen.collectTrajs(
+      net, TrajectoryGen.Config(s.numTraj, s.numDrivers, s.numRoutes, s.days, s.seed))
+    val sample = Workload.sampleQueries(trajs, s.numQueries, s.seed + 1)
+    val alphaMin = A6.head
+    def queries(qt: Workload.QueryType): Seq[Spq] = {
+      val base = sample.toSeq.map(tr => Workload.baseSpq(tr, qt, alphaMin, 20))
+      // The same trips with the periodic window centred on midnight, so it wraps.
+      val midnight = if (qt == Workload.SpqOnly) Seq.empty else base.take(10).map { q =>
+        q.copy(interval = PeriodicInterval(-alphaMin / 2, alphaMin / 2))
+      }
+      base ++ midnight
+    }
+    val wraps = Seq(Workload.Temporal, Workload.UserQ).flatMap(queries).count(_.interval match {
+      case p: PeriodicInterval => java.lang.Math.floorMod(p.ts, TimeInterval.DaySec) + p.sizeSec > TimeInterval.DaySec
+      case _ => false
+    })
+    assert(wraps >= 20)
+    val Exact = math.pow(2, 53)
+    var runs = 0
+    var exactRuns = 0
+    for {
+      partitionDays <- Seq(None, Some(7))
+      index = SNTIndex.build(net, trajs, CssForest, partitionDays)
+      qt <- Seq(Workload.Temporal, Workload.UserQ, Workload.SpqOnly)
+      qs = queries(qt)
+      pi <- Seq[Partitioner](ZonePartitioner, RegularPartitioner(1), NonePartitioner)
+      sigma <- Seq(SigmaR, SigmaL)
+      est <- if (qt == Workload.Temporal && partitionDays.isEmpty)
+               Seq(None, Some(new CardinalityEstimator(index, None, IsaOnly))) else Seq(None)
+    } {
+      val p = new TripQueryProcessor(index, new Splitter(A6, sigma, index), 10.0, est)
+      val ref = new ReferenceTripQuery(p)
+      for (q <- qs) {
+        val clue = s"${qt.name} ${pi.name} ${sigma.name} W=${index.partitions.length} est=${est.isDefined} $q"
+        val got = p.run(q, pi)
+        val want = ref.run(q, pi)
+        assert(got.sub.length == want.sub.length, clue)
+        for ((g, w) <- got.sub.zip(want.sub)) {
+          assert(g.startIdx == w.startIdx && g.endIdx == w.endIdx && g.relaxed == w.relaxed, clue)
+          assert(java.util.Arrays.equals(g.x, w.x), clue)
+        }
+        assert(got.indexCalls == want.indexCalls, clue)
+        assert(got.estimatorSkips == want.estimatorSkips, clue)
+        // Integer counts below 2^53 sum exactly in any order, so there the
+        // histograms must be identical. Beyond it the map kernel's hash-order
+        // sums and the dense kernel's bucket-order sums round differently.
+        if (want.histogram.total < Exact) {
+          assert(got.histogram == want.histogram, clue)
+          exactRuns += 1
+        } else {
+          assert(got.histogram.h == want.histogram.h, clue)
+          assert(got.histogram.counts.keySet == want.histogram.counts.keySet, clue)
+          for ((b, c) <- want.histogram.counts)
+            assert(math.abs(got.histogram.counts(b) - c) <= 1e-13 * c, clue)
+        }
+        runs += 1
+      }
+    }
+    assert(runs == 2 * (50 + 50 + 40) * 3 * 2 + (50 * 3 * 2))
+    info(s"$exactRuns of $runs histograms in the exact regime")
+    assert(exactRuns * 2 > runs)
+  }
+
+  test("SubResult requires a non-empty sample and stores its statistics") {
+    val e = intercept[IllegalArgumentException](SubResult(2, 4, Array.empty, relaxed = false))
+    assert(e.getMessage.contains("empty travel-time sample for sub-path [2, 4)"))
+    val r = SubResult(0, 1, Array(7.0, 3.0, 11.0, 3.0), relaxed = false)
+    assert(r.min == 3.0 && r.max == 11.0 && r.mean == 6.0)
   }
 }

@@ -1,6 +1,7 @@
 package repro.hist
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.testutil.ReferenceTripQuery
 
 import scala.util.Random
 
@@ -85,5 +86,64 @@ class HistogramSpec extends AnyFunSuite {
     val conv = Histogram.create(xs, 5.0).convolve(Histogram.create(ys, 5.0))
     val direct = Histogram.create(for (x <- xs; y <- ys) yield x + y, 5.0)
     assert(conv.counts == direct.counts)
+  }
+
+  /** A random histogram over bucket ids in [lo, lo + span): negative ids,
+    * gaps and single buckets all occur.
+    */
+  private def randomHist(rnd: Random, count: Random => Double): Histogram = {
+    val lo = rnd.nextInt(41) - 20
+    val span = 1 + rnd.nextInt(12)
+    val n = 1 + rnd.nextInt(span)
+    val ids = rnd.shuffle((lo until lo + span).toList).take(n)
+    Histogram(10.0, ids.map(_ -> count(rnd)).toMap)
+  }
+
+  test("convolveAll equals a left fold of the naive map convolution (k = 1..5)") {
+    val rnd = new Random(2019)
+    for (k <- 1 to 5; _ <- 0 until 200) {
+      // Integer counts keep every sum exact, so the result is bit-identical.
+      val hs = Seq.fill(k)(randomHist(rnd, r => (1 + r.nextInt(9)).toDouble))
+      assert(Histogram.convolveAll(hs) == hs.reduceLeft(ReferenceTripQuery.convolve), hs)
+    }
+  }
+
+  test("convolveAll matches the naive convolution on fractional counts and keeps zero counts") {
+    val rnd = new Random(53)
+    for (k <- 2 to 5; _ <- 0 until 100) {
+      val hs = Seq.fill(k)(randomHist(rnd, r => if (r.nextInt(8) == 0) 0.0 else r.nextDouble() * 5))
+      val got = Histogram.convolveAll(hs).counts
+      val want = hs.reduceLeft(ReferenceTripQuery.convolve).counts
+      assert(got.keySet == want.keySet, hs)
+      for ((b, c) <- want) assert(math.abs(got(b) - c) <= 1e-12 * math.max(1.0, c), hs)
+    }
+  }
+
+  test("convolveAll of one histogram or with an empty one follows the fold") {
+    val one = Histogram(10.0, Map(-3 -> 2.0, 4 -> 0.0))
+    assert(Histogram.convolveAll(Seq(one)) == one)
+    val empty = Histogram(10.0, Map.empty)
+    assert(Histogram.convolveAll(Seq(one, empty, one)) == empty)
+    assert(one.convolve(empty) == ReferenceTripQuery.convolve(one, empty))
+  }
+
+  test("convolveAll fails clearly on mixed bucket widths or no histograms") {
+    val e1 = intercept[IllegalArgumentException] {
+      Histogram.convolveAll(Seq(Histogram(10.0, Map(0 -> 1.0)), Histogram(10.0, Map(1 -> 1.0)),
+                                Histogram(5.0, Map(0 -> 1.0))))
+    }
+    assert(e1.getMessage.contains("bucket width mismatch: 10.0 vs 5.0"))
+    val e2 = intercept[IllegalArgumentException](Histogram.convolveAll(Seq.empty))
+    assert(e2.getMessage.contains("at least one histogram"))
+  }
+
+  test("create on a primitive sample equals the groupBy histogram") {
+    val rnd = new Random(7)
+    for (_ <- 0 until 300) {
+      val xs = Array.fill(rnd.nextInt(60))(rnd.nextGaussian() * 200 + rnd.nextInt(3) * 50)
+      val h = Seq(1.0, 10.0, 600.0)(rnd.nextInt(3))
+      assert(Histogram.create(xs, h) == ReferenceTripQuery.create(xs.toSeq, h))
+      assert(Histogram.create(xs.toSeq, h) == ReferenceTripQuery.create(xs.toSeq, h))
+    }
   }
 }
