@@ -21,10 +21,15 @@ case object BtForest extends TreeType
   * `getTravelTimes` is Procedure 5 built from Procedure 2 (backward search),
   * Procedure 3 (buildMap over the first edge) and Procedure 4 (probeMap over
   * the last edge).
+  *
+  * `firstEntry(w)` / `lastEntry(w)` bound the leaf entry times of partition w,
+  * so a fixed-interval query can skip the partitions it cannot match.
   */
 final class SNTIndex(
     val net: RoadNetwork,
     val partitions: Array[FMIndex],
+    val firstEntry: Array[Long],
+    val lastEntry: Array[Long],
     val records: Array[TemporalRecords],   // indexed by edge id; null = no data
     val search: Array[TemporalSearch],
     val userOf: java.util.HashMap[java.lang.Long, Integer],
@@ -36,10 +41,31 @@ final class SNTIndex(
   @inline private def key(d: Long, seq: Int): Long = (d << SNTIndex.SeqBits) | seq.toLong
 
   /** Procedure 2 across temporal partitions: one ISA range per partition. */
-  def pathRanges(path: IndexedSeq[Int]): Array[(Int, Int)] = {
+  def pathRanges(path: IndexedSeq[Int]): Array[(Int, Int)] = rangesMeeting(path, Long.MinValue, Long.MaxValue)
+
+  /** Procedure 2 for a query over `interval`: the ranges of `pathRanges(path)`,
+    * except that a fixed interval [ts, te) maps every partition whose leaf
+    * entry times all miss it to (0, 0) without searching it — no record of
+    * that partition can pass buildMap's temporal predicate, so M is the same.
+    * Periodic intervals keep every partition. So do single segments: their
+    * range costs no rank call, and their empty-range answer (the speed-limit
+    * estimate) is not the β-gated answer of an empty scan.
+    */
+  def pathRanges(path: IndexedSeq[Int], interval: TimeInterval): Array[(Int, Int)] = interval match {
+    case FixedInterval(ts, te) if partitions.length > 1 && path.length > 1 => rangesMeeting(path, ts, te)
+    case _ => pathRanges(path)
+  }
+
+  /** ISA ranges of `path` in the partitions whose entry-time span meets
+    * [ts, te); (0, 0) for the others, which are not searched.
+    */
+  private def rangesMeeting(path: IndexedSeq[Int], ts: Long, te: Long): Array[(Int, Int)] = {
     val out = new Array[(Int, Int)](partitions.length)
     var w = 0
-    while (w < partitions.length) { out(w) = partitions(w).pathRange(path); w += 1 }
+    while (w < partitions.length) {
+      out(w) = if (lastEntry(w) < ts || firstEntry(w) >= te) (0, 0) else partitions(w).pathRange(path)
+      w += 1
+    }
     out
   }
 
@@ -115,7 +141,7 @@ final class SNTIndex(
     */
   def matchCountCapped(path: IndexedSeq[Int], interval: TimeInterval,
                        user: Option[Int], cap: Int): Int = {
-    val ranges = pathRanges(path)
+    val ranges = pathRanges(path, interval)
     if (ranges.forall { case (st, ed) => st >= ed }) 0
     else buildMap(path.head, ranges, interval, user, cap).size
   }
@@ -131,7 +157,7 @@ final class SNTIndex(
     * see DESIGN.md.
     */
   def getTravelTimes(q: Spq): Array[Double] = {
-    val ranges = pathRanges(q.path)
+    val ranges = pathRanges(q.path, q.interval)
     if (ranges.forall { case (st, ed) => st >= ed }) {
       return if (q.length == 1 && !q.interval.isPeriodic) Array(net.estimateTT(q.path(0)))
              else Array.empty
@@ -146,8 +172,10 @@ final class SNTIndex(
 
   // ---- memory accounting (Fig 10a components) ---------------------------
 
-  /** Segment-counter arrays C, one per partition — grows linearly with W. */
-  def memC: Long = partitions.map(_.counts.length.toLong * 4).sum
+  /** Segment-counter arrays C and the two entry-time bounds, one each per
+    * partition — grows linearly with W.
+    */
+  def memC: Long = partitions.map(_.counts.length.toLong * 4 + 16).sum
   /** Wavelet trees, one per partition. */
   def memWT: Long = partitions.map(_.bwtTree.memoryBytes).sum
   /** Associative container U (d → u). */
@@ -220,20 +248,26 @@ object SNTIndex {
       p += 1
     }
 
-    // Temporal forest: bucket every traversal leaf by edge, then sort by t.
+    // Temporal forest: bucket every traversal leaf by edge, then sort by t;
+    // the same pass bounds each partition's leaf entry times.
+    val firstEntry = Array.fill(numW)(Long.MaxValue)
+    val lastEntry = Array.fill(numW)(Long.MinValue)
     val perEdge = new Array[collection.mutable.ArrayBuffer[TemporalRecords.Row]](net.numEdges + 1)
     val userOf = new java.util.HashMap[java.lang.Long, Integer](trajs.length * 2)
     i = 0
     while (i < trajs.length) {
       val tr = trajs(i)
       userOf.put(tr.id, tr.user)
-      val isa = isas(w(i))
+      val wi = w(i)
+      val isa = isas(wi)
       var k = 0
       while (k < tr.length) {
         val e = tr.edges(k)
+        firstEntry(wi) = math.min(firstEntry(wi), tr.times(k))
+        lastEntry(wi) = math.max(lastEntry(wi), tr.times(k))
         if (perEdge(e) == null) perEdge(e) = collection.mutable.ArrayBuffer.empty
         perEdge(e) += TemporalRecords.Row(tr.times(k), isa(offsets(i) + k), tr.id,
-                                          tr.tts(k), tr.cum(k), k, w(i))
+                                          tr.tts(k), tr.cum(k), k, wi)
         k += 1
       }
       i += 1
@@ -253,6 +287,6 @@ object SNTIndex {
       }
       e += 1
     }
-    new SNTIndex(net, fms, records, search, userOf, tmin, tmax, treeType)
+    new SNTIndex(net, fms, firstEntry, lastEntry, records, search, userOf, tmin, tmax, treeType)
   }
 }

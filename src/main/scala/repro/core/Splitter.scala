@@ -53,17 +53,17 @@ final class Splitter(val A: Vector[Long], val method: SplitMethod, index: SNTInd
     * prefix misses β (a split must make progress).
     *
     * Like the paper's greedy, each candidate prefix is evaluated against the
-    * index with its exact cardinality (one spatial lookup + a temporal scan
-    * per candidate) — this repeated probing is what makes σ_L an order of
-    * magnitude slower than σ_R in Fig 9 (the paper clips the π_C/σ_L curve
-    * at 50–65 ms for this reason). A capped binary search would remove most
-    * of that overhead without changing the chosen m.
+    * index (one spatial lookup + a temporal scan per candidate) — this
+    * repeated probing is what makes σ_L an order of magnitude slower than σ_R
+    * in Fig 9 (the paper clips the π_C/σ_L curve at 50–65 ms for this
+    * reason). The test only asks whether the count reaches β, so the scan
+    * stops at β matches; the chosen m is the one the exact count gives.
     */
   private def longestPrefix(q: Spq): Int = {
     val beta = q.beta.getOrElse(1)
     var m = 1
     while (m < q.length - 1 &&
-           index.matchCountCapped(q.path.take(m + 1), q.interval, q.user, Int.MaxValue) >= beta)
+           index.matchCountCapped(q.path.take(m + 1), q.interval, q.user, beta) >= beta)
       m += 1
     m
   }

@@ -21,8 +21,11 @@ final class FMIndex(val n: Int, val sigma: Int, val counts: Array[Int],
     var i = 2
     while (i <= l) {
       c = path(l - i)
-      st = counts(c) + bwtTree.rank(c, st)
-      ed = counts(c) + bwtTree.rank(c, ed)
+      // One wavelet-tree descent for both bounds; it may stop early only
+      // when the range becomes empty, which is mapped to (0, 0) here.
+      val r = bwtTree.rankPair(c, st, ed)
+      st = counts(c) + WaveletTree.lower(r)
+      ed = counts(c) + WaveletTree.upper(r)
       if (st >= ed) return (0, 0)
       i += 1
     }

@@ -160,6 +160,97 @@ class SNTIndexSpec extends AnyFunSuite {
     }
   }
 
+  // ---- partition pruning for fixed intervals ------------------------------
+
+  private lazy val fullIdx = SNTIndex.build(net, trajs, CssForest, None)
+  private lazy val byDays = Seq(1, 7).map(d => d -> SNTIndex.build(net, trajs, CssForest, Some(d)))
+  private def partIdx = byDays.map(_._2)
+
+  test("build bounds each partition's leaf entry times") {
+    for ((days, part) <- byDays) {
+      // A trajectory's partition is the rank of its start-time bucket.
+      val bucket = trajs.map(t => (t.t0 - part.tminGlobal) / (86400L * days))
+      val rank = bucket.distinct.sorted.zipWithIndex.toMap
+      val byW = trajs.indices.groupBy(i => rank(bucket(i)))
+      assert(byW.size == part.partitions.length)
+      for ((p, is) <- byW) {
+        assert(part.firstEntry(p) == is.map(i => trajs(i).times.min).min, s"w=$p")
+        assert(part.lastEntry(p) == is.map(i => trajs(i).times.max).max, s"w=$p")
+      }
+    }
+  }
+
+  /** Fixed intervals on the edges of the partitions' entry-time spans. */
+  private def edgeIntervals(part: SNTIndex): Seq[FixedInterval] = {
+    val (tmin, tmax) = (part.tminGlobal, part.tmaxGlobal)
+    val spans = part.partitions.indices.map(w => (part.firstEntry(w), part.lastEntry(w)))
+    Seq(FixedInterval(0, tmin), FixedInterval(tmin - 5000, tmin - 1),
+        FixedInterval(tmax, tmax + 5000), FixedInterval(tmax - 1, tmax + 5000)) ++
+      Seq(tmin, tmax, spans(1)._1, spans(1)._2).map(t => FixedInterval(t, t)) ++
+      spans.flatMap { case (first, last) =>
+        Seq(FixedInterval(first, last + 1),           // exactly one partition
+            FixedInterval(first, first + 1), FixedInterval(first - 3600, first),
+            FixedInterval(last, last + 1), FixedInterval(last + 1, last + 3600),
+            FixedInterval(first - 3600, first + 3600), FixedInterval(last - 3600, last + 3600))
+      }
+  }
+
+  private def samplePaths(seed: Long, n: Int): Seq[(Vector[Int], Int)] = {
+    val rnd = new Random(seed)
+    Seq.fill(n) {
+      val tr = trajs(rnd.nextInt(trajs.length))
+      val lo = rnd.nextInt(tr.length)
+      val hi = math.min(tr.length, lo + 1 + rnd.nextInt(5))
+      (tr.edges.slice(lo, hi).toVector, tr.user)
+    }
+  }
+
+  test("pruned fixed-interval queries on 1-day and 7-day indexes equal the FULL index") {
+    for (part <- partIdx) {
+      assert(part.partitions.length > 1)
+      val ivs = edgeIntervals(part)
+      // Paths entered exactly at a partition's first entry time match [first, first + 1).
+      val firstPaths = part.firstEntry.toSeq.flatMap(t => trajs.find(_.t0 == t))
+        .map(tr => (tr.edges.take(3).toVector, tr.user))
+      for ((path, u) <- samplePaths(106, 60) ++ firstPaths; iv <- ivs; user <- Seq(None, Some(u));
+           beta <- Seq(None, Some(1), Some(3))) {
+        val clue = s"W=${part.partitions.length} path=$path iv=$iv user=$user beta=$beta"
+        val q = Spq(path, iv, user, beta, 0, path.length)
+        assert(sortedTT(part.getTravelTimes(q)) == sortedTT(fullIdx.getTravelTimes(q)), clue)
+        assert(sortedTT(part.getTravelTimes(q.copy(relaxed = true))) ==
+               sortedTT(fullIdx.getTravelTimes(q.copy(relaxed = true))), clue)
+        for (cap <- Seq(1, 3, Int.MaxValue))
+          assert(part.matchCountCapped(path, iv, user, cap) == fullIdx.matchCountCapped(path, iv, user, cap), clue)
+      }
+    }
+  }
+
+  test("fixed intervals skip only the partitions whose entry-time span they miss") {
+    for (part <- partIdx; (path, _) <- samplePaths(107, 40) if path.length > 1; iv <- edgeIntervals(part)) {
+      val all = part.pathRanges(path)
+      val pruned = part.pathRanges(path, iv)
+      for (w <- part.partitions.indices) {
+        val misses = part.lastEntry(w) < iv.ts || part.firstEntry(w) >= iv.te
+        assert(pruned(w) == (if (misses) (0, 0) else all(w)), s"w=$w path=$path iv=$iv")
+      }
+      // Periodic intervals and single segments search every partition.
+      assert(part.pathRanges(path, PeriodicInterval(iv.ts, iv.ts + 900)).sameElements(all))
+      assert(part.pathRanges(path.take(1), iv).sameElements(part.pathRanges(path.take(1))))
+    }
+  }
+
+  test("countPath counts every partition, also those a fixed interval skips") {
+    var skipped = 0
+    for (part <- partIdx; (path, _) <- samplePaths(108, 60)) {
+      val want = naiveCountPath(trajs.toSeq, path)
+      assert(part.countPath(path) == want && fullIdx.countPath(path) == want, s"path=$path")
+      val oneSpan = FixedInterval(part.firstEntry(0), part.lastEntry(0) + 1)
+      val inSpan = part.pathRanges(path, oneSpan).map { case (st, ed) => ed - st }.sum
+      if (inSpan < want) skipped += 1
+    }
+    assert(skipped > 0)
+  }
+
   test("memC grows linearly with the number of partitions") {
     val full = SNTIndex.build(net, trajs, CssForest, None)
     val part = SNTIndex.build(net, trajs, CssForest, Some(7))

@@ -1,7 +1,10 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.eval.{Experiments, Workload}
+import repro.network.NetworkGen
 import repro.testutil.Fixtures
+import repro.traj.TrajectoryGen
 
 /** Procedure 1 (σ) behaviour: widen ladder → path split → drop f → relax. */
 class SplitterSpec extends AnyFunSuite {
@@ -58,6 +61,36 @@ class SplitterSpec extends AnyFunSuite {
     val q = Spq(Vector(F, A), FixedInterval(0, idx.tmaxGlobal), None, Some(50), 0, 2)
     val out = splitter(SigmaL)(q)
     assert(out.map(_.path) == Vector(Vector(F), Vector(A)))
+  }
+
+  test("σL's β-capped prefix probe picks the split point of the uncapped count (TestScale)") {
+    val s = Experiments.TestScale
+    val net = NetworkGen.generate(s.gridW, s.gridH, s.seed)
+    val trajs = TrajectoryGen.collectTrajs(
+      net, TrajectoryGen.Config(s.numTraj, s.numDrivers, s.numRoutes, s.days, s.seed))
+    val full = SNTIndex.build(net, trajs, CssForest, None)
+    // The greedy of Procedure 1 over exact (uncapped) counts on the FULL index.
+    def wantM(q: Spq): Int = {
+      val beta = q.beta.get
+      var m = 1
+      while (m < q.length - 1 &&
+             full.matchCountCapped(q.path.take(m + 1), q.interval, q.user, Int.MaxValue) >= beta) m += 1
+      m
+    }
+    val qs = for {
+      tr <- Workload.sampleQueries(trajs, s.numQueries, s.seed + 2).toSeq
+      iv <- Seq(FixedInterval(0L, tr.t0), FixedInterval(tr.t0 - 30 * 86400L, tr.t0 + 86400L),
+                PeriodicInterval(tr.t0 - A6.last / 2, tr.t0 + A6.last / 2))
+      user <- Seq(None, Some(tr.user))
+      beta <- Seq(2, 20)
+    } yield Spq(tr.edges.toVector, iv, user, Some(beta), 0, tr.length)
+    val ms = for (index <- Seq(full, SNTIndex.build(net, trajs, CssForest, Some(7))); q <- qs) yield {
+      val m = wantM(q)
+      val got = new Splitter(A6, SigmaL, index)(q).map(_.path.length)
+      assert(got == Vector(m, q.length - m), s"W=${index.partitions.length} $q")
+      m
+    }
+    assert(ms.count(_ > 1) >= ms.length / 4) // the probe does more than fall back to m = 1
   }
 
   test("fixed-interval sub-queries keep their interval when split") {

@@ -47,6 +47,28 @@ class WaveletTreeSpec extends AnyFunSuite {
       assert(wt.rank(c, i) == naiveRank(s, c, i))
   }
 
+  test("rankPair returns both naive ranks whenever they differ, equal halves otherwise; rank is exact") {
+    val rnd = new Random(15)
+    for (sigma <- Seq(1, 2, 3, 5, 8, 17, 64); _ <- 0 until 3) {
+      val s = Array.fill(rnd.nextInt(120))(rnd.nextInt(sigma))
+      val wt = WaveletTree.build(s, sigma)
+      for (c <- -1 to sigma) {
+        // naive(i) = occurrences of c in s[0, i)
+        val naive = s.scanLeft(0)((acc, x) => if (x == c) acc + 1 else acc)
+        for (i <- 0 to s.length) {
+          assert(wt.rank(c, i) == naive(i), s"sigma=$sigma c=$c i=$i")
+          for (j <- i to s.length) {
+            val r = wt.rankPair(c, i, j)
+            val (lo, hi) = (WaveletTree.lower(r), WaveletTree.upper(r))
+            val clue = s"sigma=$sigma n=${s.length} c=$c i=$i j=$j got=($lo, $hi)"
+            if (naive(i) != naive(j)) assert(lo == naive(i) && hi == naive(j), clue)
+            else assert(lo == hi, clue)
+          }
+        }
+      }
+    }
+  }
+
   test("wavelet tree access reconstructs the sequence") {
     val rnd = new Random(14)
     val s = Array.fill(300)(rnd.nextInt(10))
