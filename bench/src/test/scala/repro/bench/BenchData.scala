@@ -6,8 +6,8 @@ import repro.SparkSpec
 import repro.eval.{ConfigResult, Experiments}
 
 /** Shared bench dataset and result sink. All bench suites run in one forked
-  * JVM (`Test / parallelExecution := false`), so the bundle and the Figs 5–9
-  * grid are computed once and reused.
+  * JVM (`Test / parallelExecution := false`), so the bundle (the one dataset
+  * of Figs 5–11) and the Figs 5–9 grid are computed once and reused.
   */
 object BenchData {
 

@@ -13,16 +13,12 @@ import repro.eval.Experiments
   */
 class Fig10PartitioningBench extends SparkSpec {
 
-  private lazy val result = Experiments.fig10(spark, Experiments.BenchScale)
+  private lazy val result = Experiments.fig10(BenchData.bundle)
   private lazy val idxRows = result._1
   private lazy val histRows = result._2
 
   test("emit the Fig 10 tables") {
-    BenchData.emit("fig10_partitioning",
-      Seq(f"${"part"}%-5s ${"tree"}%-4s ${"W"}%4s ${"C_MiB"}%10s ${"WT_MiB"}%10s ${"user_MiB"}%9s ${"forest_MiB"}%11s ${"setup_s"}%8s") ++
-        idxRows.map(r => f"${r.label}%-5s ${r.tree}%-4s ${r.partitions}%4d ${r.cMiB}%10.4f ${r.wtMiB}%10.4f ${r.userMiB}%9.4f ${r.forestMiB}%11.4f ${r.setupSec}%8.2f") ++
-        Seq("histogram store (partition, bucket_s, MiB):") ++
-        histRows.map { case (l, h, m) => f"  $l%-5s $h%5d $m%10.4f" })
+    BenchData.emit("fig10_partitioning", Experiments.fig10Lines(result))
     assert(idxRows.size == 6)
   }
 

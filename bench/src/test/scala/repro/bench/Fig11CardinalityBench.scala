@@ -13,16 +13,10 @@ import repro.eval.Experiments
   */
 class Fig11CardinalityBench extends SparkSpec {
 
-  private lazy val res = Experiments.fig11(spark, Experiments.BenchScale)
+  private lazy val res = Experiments.fig11(BenchData.bundle)
 
   test("emit the Fig 11 tables") {
-    BenchData.emit("fig11_cardinality",
-      Seq("q-error (mode, avg):") ++
-        res.qErrors.map { case (m, q) => f"  $m%-9s $q%10.3f" } ++
-        Seq("runtime ms/query (partition, variant, ms):") ++
-        res.runtime.map { case (p, v, ms) => f"  $p%-5s $v%-9s $ms%8.3f" } ++
-        Seq("sMAPE (partition, mode, sMAPE):") ++
-        res.accuracy.map { case (p, m, s) => f"  $p%-5s $m%-9s $s%8.2f" })
+    BenchData.emit("fig11_cardinality", Experiments.fig11Lines(res))
     assert(res.qErrors.size == 5)
   }
 

@@ -16,11 +16,8 @@ class Fig5to8AccuracyBench extends SparkSpec {
   private lazy val grid = BenchData.grid
 
   test("emit the Figs 5-8 grid") {
-    val refs = EvalRunner.referenceNumbers(BenchData.bundle.index, BenchData.bundle.queries)
     BenchData.emit("fig5to9_grid",
-      Seq(f"reference: speed-limit-only sMAPE=${refs._1}%.2f wErr=${refs._3}%.2f; " +
-          f"all-trajectories-per-segment sMAPE=${refs._2}%.2f wErr=${refs._4}%.2f",
-          Experiments.header) ++ grid.map(Experiments.fmt))
+      Seq(Experiments.referenceLine(BenchData.bundle), Experiments.header) ++ grid.map(Experiments.fmt))
     assert(grid.nonEmpty)
   }
 

@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.eval.{EvalRunner, Experiments}
+import repro.eval.Experiments
 
 /** Shared session builder for the spark-submit entrypoints. */
 object Jobs {
@@ -25,8 +25,7 @@ object Fig5to8Accuracy {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("fig5to8")
     val b = Experiments.build(spark, Jobs.scale(args))
-    val (slS, allS, slW, allW) = EvalRunner.referenceNumbers(b.index, b.queries)
-    println(f"reference: speed-limit-only sMAPE=$slS%.1f wErr=$slW%.1f; all-trajectories sMAPE=$allS%.1f wErr=$allW%.1f")
+    println(Experiments.referenceLine(b))
     println(Experiments.header)
     Experiments.accuracyGrid(b, Seq(10, 20, 30, 40, 50)).foreach(r => println(Experiments.fmt(r)))
     spark.stop()
@@ -52,12 +51,8 @@ object Fig9Efficiency {
 object Fig10Partitioning {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("fig10")
-    val (idxRows, histRows) = Experiments.fig10(spark, Jobs.scale(args))
-    println(f"${"part"}%-5s ${"tree"}%-4s ${"W"}%4s ${"C_MiB"}%10s ${"WT_MiB"}%10s ${"user_MiB"}%9s ${"forest_MiB"}%11s ${"setup_s"}%8s")
-    idxRows.foreach(r => println(
-      f"${r.label}%-5s ${r.tree}%-4s ${r.partitions}%4d ${r.cMiB}%10.3f ${r.wtMiB}%10.3f ${r.userMiB}%9.3f ${r.forestMiB}%11.3f ${r.setupSec}%8.2f"))
-    println("histogram store (partition, bucket_s, MiB):")
-    histRows.foreach { case (l, h, m) => println(f"  $l%-5s $h%5d $m%10.3f") }
+    val b = Experiments.build(spark, Jobs.scale(args))
+    Experiments.fig10Lines(Experiments.fig10(b)).foreach(println)
     spark.stop()
   }
 }
@@ -68,13 +63,8 @@ object Fig10Partitioning {
 object Fig11Cardinality {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("fig11")
-    val res = Experiments.fig11(spark, Jobs.scale(args))
-    println("q-error (mode, avg):")
-    res.qErrors.foreach { case (m, q) => println(f"  $m%-9s $q%8.2f") }
-    println("runtime ms/query (partition, variant, ms):")
-    res.runtime.foreach { case (p, v, ms) => println(f"  $p%-5s $v%-9s $ms%8.3f") }
-    println("sMAPE (partition, mode, sMAPE):")
-    res.accuracy.foreach { case (p, m, s) => println(f"  $p%-5s $m%-9s $s%8.2f") }
+    val b = Experiments.build(spark, Jobs.scale(args))
+    Experiments.fig11Lines(Experiments.fig11(b)).foreach(println)
     spark.stop()
   }
 }

@@ -29,11 +29,11 @@ final class CardinalityEstimator(index: SNTIndex, store: Option[HistogramStore],
     val selTod = q.interval match {
       case p: PeriodicInterval =>
         mode match {
-          case BtFast | CssFast => math.min(1.0, p.sizeSec.toDouble / 86400.0) // Eq. 1
+          case BtFast | CssFast => math.min(1.0, p.sizeSec.toDouble / TimeInterval.DaySec) // Eq. 1
           case _ => // Eq. 2
             store match {
               case Some(s) => s.todSelectivity(e0, p.ts, p.te)
-              case None    => math.min(1.0, p.sizeSec.toDouble / 86400.0)
+              case None    => math.min(1.0, p.sizeSec.toDouble / TimeInterval.DaySec)
             }
         }
       case _ => 1.0

@@ -210,13 +210,12 @@ object SNTIndex {
     require(trajs.nonEmpty, "no trajectories")
     trajs.foreach(t => require(t.length < (1 << SeqBits),
       s"trajectory ${t.id} has ${t.length} segments; at most ${(1 << SeqBits) - 1} are supported"))
-    val day = 86400L
     val tmin = trajs.iterator.map(_.t0).min
     val tmax = trajs.iterator.map(t => t.times(t.length - 1) + math.ceil(t.tts(t.length - 1)).toLong).max + 1
 
     // Assign each trajectory to a temporal partition by its start time.
     val rawW: Array[Int] = partitionDays match {
-      case Some(dDays) => trajs.map(t => ((t.t0 - tmin) / (day * dDays)).toInt)
+      case Some(dDays) => trajs.map(t => ((t.t0 - tmin) / (TimeInterval.DaySec * dDays)).toInt)
       case None        => Array.fill(trajs.length)(0)
     }
     val wIds = rawW.distinct.sorted

@@ -106,24 +106,17 @@ object EvalRunner {
       if (r == null || r.size == 0) net.estimateTT(e)
       else { var s = 0.0; var i = 0; while (i < r.size) { s += r.tt(i); i += 1 }; s / r.size }
     }
+    // One single-segment sub-result per edge whose sample is the edge's
+    // estimate, so both weighted errors are the §5.3.2 term.
+    def perEdge(tr: Traj, est: Int => Double): Vector[SubResult] =
+      tr.edges.indices.map(i => SubResult(i, i + 1, Array(est(tr.edges(i))), relaxed = false)).toVector
     var slS = 0.0; var allS = 0.0; var slW = 0.0; var allW = 0.0
     for (tr <- queries) {
       val act = tr.totalDur
-      val slEst = tr.edges.map(net.estimateTT).sum
-      val allEst = tr.edges.map(edgeMean).sum
-      slS += Metrics.smapeTerm(slEst, act)
-      allS += Metrics.smapeTerm(allEst, act)
-      val totalLen = tr.edges.map(e => net.attr(e).lengthM).sum
-      slW += tr.edges.indices.map { i =>
-        val w = net.attr(tr.edges(i)).lengthM / totalLen
-        w * 100.0 * math.abs(net.estimateTT(tr.edges(i)) - tr.tts(i)) /
-          (0.5 * (net.estimateTT(tr.edges(i)) + tr.tts(i)))
-      }.sum
-      allW += tr.edges.indices.map { i =>
-        val w = net.attr(tr.edges(i)).lengthM / totalLen
-        w * 100.0 * math.abs(edgeMean(tr.edges(i)) - tr.tts(i)) /
-          (0.5 * (edgeMean(tr.edges(i)) + tr.tts(i)))
-      }.sum
+      slS += Metrics.smapeTerm(tr.edges.map(net.estimateTT).sum, act)
+      allS += Metrics.smapeTerm(tr.edges.map(edgeMean).sum, act)
+      slW += Metrics.weightedErrorTerm(net, tr, perEdge(tr, net.estimateTT))
+      allW += Metrics.weightedErrorTerm(net, tr, perEdge(tr, edgeMean))
     }
     val n = queries.length.toDouble
     (slS / n, allS / n, slW / n, allW / n)

@@ -1,11 +1,11 @@
 package repro.eval
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core._
 import repro.hist.HistogramStore
 import repro.network.{NetworkGen, RoadNetwork}
-import repro.traj.{Traj, TrajectoryGen}
+import repro.traj.{Traj, TrajectoryGen, Traversal}
 
 /** End-to-end experiment driver shared by the spark-submit jobs and the
   * bench suites. Each `figXX` method reproduces the number grid behind one
@@ -13,11 +13,12 @@ import repro.traj.{Traj, TrajectoryGen}
   */
 object Experiments {
 
-  /** Dataset + index bundle reused across configurations. */
+  /** Dataset + index bundle reused across configurations and figures. */
   final case class Bundle(
       spark: SparkSession,
       net: RoadNetwork,
       trajs: Array[Traj],
+      traversals: Dataset[Traversal],
       index: SNTIndex,
       store: HistogramStore,
       queries: Array[Traj],
@@ -36,6 +37,10 @@ object Experiments {
   val TestScale: Scale = Scale(gridW = 12, gridH = 12, numTraj = 2000, numDrivers = 40,
                                numRoutes = 80, days = 120, numQueries = 40)
 
+  /** The one dataset of a scale that every figure runs over: the network,
+    * the trajectories (in memory and as the traversal Dataset), the FULL CSS
+    * index, the 600 s Histogram Store and the query sample.
+    */
   def build(spark: SparkSession, s: Scale): Bundle = {
     val net = NetworkGen.generate(s.gridW, s.gridH, s.seed)
     val cfg = TrajectoryGen.Config(s.numTraj, s.numDrivers, s.numRoutes, s.days, s.seed)
@@ -44,7 +49,7 @@ object Experiments {
     val index = SNTIndex.build(net, trajs, CssForest, None)
     val store = HistogramStore.build(spark, traversals, bucketSec = 600)
     val queries = Workload.sampleQueries(trajs, s.numQueries, s.seed + 1)
-    Bundle(spark, net, trajs, index, store, queries,
+    Bundle(spark, net, trajs, traversals, index, store, queries,
            spark.sparkContext.broadcast(index), spark.sparkContext.broadcast(store))
   }
 
@@ -73,6 +78,13 @@ object Experiments {
       EvalRunner.evaluate(b.spark, b.bIndex, Some(b.bStore), b.queries, qt, pi, sigma, beta)
     }
 
+  /** The §6.1 reference numbers of the bundle's query set, as one line. */
+  def referenceLine(b: Bundle): String = {
+    val (slS, allS, slW, allW) = EvalRunner.referenceNumbers(b.index, b.queries)
+    f"reference: speed-limit-only sMAPE=$slS%.2f wErr=$slW%.2f; " +
+      f"all-trajectories-per-segment sMAPE=$allS%.2f wErr=$allW%.2f"
+  }
+
   def header: String =
     f"${"type"}%-9s ${"pi"}%-6s ${"sigma"}%-7s ${"beta"}%4s ${"sMAPE"}%8s ${"wErr"}%8s ${"logL"}%8s ${"subLen"}%7s ${"ms/q"}%8s ${"calls"}%6s ${"relaxed"}%7s"
 
@@ -85,11 +97,7 @@ object Experiments {
                                 cMiB: Double, wtMiB: Double, userMiB: Double, forestMiB: Double,
                                 setupSec: Double)
 
-  def fig10(spark: SparkSession, s: Scale): (Seq[PartitionRow], Seq[(String, Int, Double)]) = {
-    val net = NetworkGen.generate(s.gridW, s.gridH, s.seed)
-    val cfg = TrajectoryGen.Config(s.numTraj, s.numDrivers, s.numRoutes, s.days, s.seed)
-    val trajs = TrajectoryGen.collectTrajs(net, cfg)
-    val traversals = TrajectoryGen.traversals(spark, net, cfg)
+  def fig10(b: Bundle): (Seq[PartitionRow], Seq[(String, Int, Double)]) = {
     def mib(x: Long): Double = x.toDouble / (1024 * 1024)
 
     val variants: Seq[(String, TreeType, Option[Int])] =
@@ -97,7 +105,7 @@ object Experiments {
           ("365", CssForest, Some(365)), ("FULL", CssForest, None), ("BT", BtForest, None))
     val idxRows = variants.map { case (label, tree, pd) =>
       val t0 = System.nanoTime()
-      val idx = SNTIndex.build(net, trajs, tree, pd)
+      val idx = SNTIndex.build(b.net, b.trajs, tree, pd)
       val setup = (System.nanoTime() - t0) / 1e9
       PartitionRow(label, if (tree == CssForest) "CSS" else "BT", idx.partitions.length,
                    mib(idx.memC), mib(idx.memWT), mib(idx.memUser), mib(idx.memForest), setup)
@@ -109,10 +117,19 @@ object Experiments {
                          ("365", Some(365)), ("FULL", None))
       h <- Seq(60, 300, 600)
     } yield {
-      val st = HistogramStore.build(spark, traversals, h, pd)
+      val st = HistogramStore.build(b.spark, b.traversals, h, pd)
       (label, h, mib(st.memoryBytes))
     }
     (idxRows, histRows)
+  }
+
+  /** The Fig 10 tables as printed lines. */
+  def fig10Lines(res: (Seq[PartitionRow], Seq[(String, Int, Double)])): Seq[String] = {
+    val (idxRows, histRows) = res
+    Seq(f"${"part"}%-5s ${"tree"}%-4s ${"W"}%4s ${"C_MiB"}%10s ${"WT_MiB"}%10s ${"user_MiB"}%9s ${"forest_MiB"}%11s ${"setup_s"}%8s") ++
+      idxRows.map(r => f"${r.label}%-5s ${r.tree}%-4s ${r.partitions}%4d ${r.cMiB}%10.4f ${r.wtMiB}%10.4f ${r.userMiB}%9.4f ${r.forestMiB}%11.4f ${r.setupSec}%8.2f") ++
+      Seq("histogram store (partition, bucket_s, MiB):") ++
+      histRows.map { case (l, h, m) => f"  $l%-5s $h%5d $m%10.4f" }
   }
 
   // ---- Fig 11: cardinality estimator -------------------------------------
@@ -123,38 +140,32 @@ object Experiments {
       accuracy: Seq[(String, String, Double)],              // 11c: partition label, mode, sMAPE
   )
 
-  def fig11(spark: SparkSession, s: Scale, qErrQueries: Int = 200): Fig11Result = {
-    val net = NetworkGen.generate(s.gridW, s.gridH, s.seed)
-    val cfg = TrajectoryGen.Config(s.numTraj, s.numDrivers, s.numRoutes, s.days, s.seed)
-    val trajs = TrajectoryGen.collectTrajs(net, cfg)
-    val traversals = TrajectoryGen.traversals(spark, net, cfg)
-    val queries = Workload.sampleQueries(trajs, s.numQueries, s.seed + 1)
+  /** Fig 11 over the bundle's dataset. 11a and the JIT warm-up use the
+    * bundle's FULL index, store and broadcasts, which stay alive for later
+    * figures; the per-partition indexes and stores of 11b/11c are built here
+    * and their broadcasts destroyed.
+    */
+  def fig11(b: Bundle, qErrQueries: Int = 200): Fig11Result = {
+    val spark = b.spark
     val alphaMin = EvalRunner.DefaultA.head
 
     // 11a: q-error per mode on the FULL CSS index.
-    val fullIdx = SNTIndex.build(net, trajs, CssForest, None)
-    val fullStore = HistogramStore.build(spark, traversals, 600, None)
     // The workload mixes periodic and fixed time frames (§5.2), which is
     // what separates the CSS modes (exact range counts) from the BT modes
     // (Eq. 3) on the fixed-frame part.
-    val qeQueries = queries.take(qErrQueries)
+    val qeQueries = b.queries.take(qErrQueries)
     val modes = Seq(IsaOnly, BtFast, CssFast, BtAcc, CssAcc)
     val qErrors = modes.map { m =>
-      val qTod = EvalRunner.qErrorOfMode(fullIdx, Some(fullStore), m, qeQueries,
+      val qTod = EvalRunner.qErrorOfMode(b.index, Some(b.store), m, qeQueries,
                                          Workload.Temporal, alphaMin)
-      val qFix = EvalRunner.qErrorOfMode(fullIdx, Some(fullStore), m, qeQueries,
+      val qFix = EvalRunner.qErrorOfMode(b.index, Some(b.store), m, qeQueries,
                                          Workload.SpqOnly, alphaMin)
       m.name -> (qTod + qFix) / 2
     }
 
     // JIT warm-up so the first runtime rows aren't compilation noise.
-    locally {
-      val bIdx = spark.sparkContext.broadcast(fullIdx)
-      val bStore = spark.sparkContext.broadcast(fullStore)
-      EvalRunner.evaluate(spark, bIdx, Some(bStore), queries, Workload.Temporal,
-                          ZonePartitioner, SigmaR, 20)
-      bIdx.destroy(); bStore.destroy()
-    }
+    EvalRunner.evaluate(spark, b.bIndex, Some(b.bStore), b.queries, Workload.Temporal,
+                        ZonePartitioner, SigmaR, 20)
 
     // 11b + 11c: π_Z, σ_R, β = 20 across partition sizes and variants.
     val partSizes = Seq(("7", Some(7)), ("30", Some(30)), ("90", Some(90)),
@@ -162,10 +173,10 @@ object Experiments {
     val runtime = collection.mutable.ArrayBuffer.empty[(String, String, Double)]
     val accuracy = collection.mutable.ArrayBuffer.empty[(String, String, Double)]
     for ((label, pd) <- partSizes) {
-      val store = HistogramStore.build(spark, traversals, 600, pd)
+      val store = HistogramStore.build(spark, b.traversals, 600, pd)
       val bStore = spark.sparkContext.broadcast(store)
       for (tree <- Seq(CssForest, BtForest)) {
-        val idx = SNTIndex.build(net, trajs, tree, pd)
+        val idx = SNTIndex.build(b.net, b.trajs, tree, pd)
         val bIdx = spark.sparkContext.broadcast(idx)
         val treeName = if (tree == CssForest) "CSS" else "BT"
         val variantModes: Seq[(String, Option[EstimatorMode])] =
@@ -174,13 +185,13 @@ object Experiments {
           else
             Seq((treeName, None), ("BT-Fast", Some(BtFast)), ("BT-Acc", Some(BtAcc)))
         for ((vName, mode) <- variantModes) {
-          val r = EvalRunner.evaluate(spark, bIdx, Some(bStore), queries, Workload.Temporal,
+          val r = EvalRunner.evaluate(spark, bIdx, Some(bStore), b.queries, Workload.Temporal,
                                       ZonePartitioner, SigmaR, 20, estimatorMode = mode)
           runtime += ((label, vName, r.msPerQuery))
         }
         if (tree == CssForest) {
           for (m <- Seq(IsaOnly, CssFast, CssAcc, BtFast, BtAcc)) {
-            val r = EvalRunner.evaluate(spark, bIdx, Some(bStore), queries, Workload.Temporal,
+            val r = EvalRunner.evaluate(spark, bIdx, Some(bStore), b.queries, Workload.Temporal,
                                         ZonePartitioner, SigmaR, 20, estimatorMode = Some(m))
             accuracy += ((label, m.name, r.smape))
           }
@@ -191,4 +202,13 @@ object Experiments {
     }
     Fig11Result(qErrors, runtime.toSeq, accuracy.toSeq)
   }
+
+  /** The Fig 11 tables as printed lines. */
+  def fig11Lines(res: Fig11Result): Seq[String] =
+    Seq("q-error (mode, avg):") ++
+      res.qErrors.map { case (m, q) => f"  $m%-9s $q%10.3f" } ++
+      Seq("runtime ms/query (partition, variant, ms):") ++
+      res.runtime.map { case (p, v, ms) => f"  $p%-5s $v%-9s $ms%8.3f" } ++
+      Seq("sMAPE (partition, mode, sMAPE):") ++
+      res.accuracy.map { case (p, m, s) => f"  $p%-5s $m%-9s $s%8.2f" }
 }

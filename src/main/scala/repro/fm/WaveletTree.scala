@@ -14,8 +14,6 @@ final class RankBitVector(val n: Int, bits: Array[Long]) extends Serializable {
     dir
   }
 
-  def get(i: Int): Boolean = (bits(i >>> 6) >>> (i & 63) & 1L) != 0L
-
   /** Number of 1-bits in [0, i). */
   def rank1(i: Int): Int = {
     val w = i >>> 6
@@ -82,28 +80,6 @@ final class WaveletTree private (val n: Int, val sigma: Int, val levels: Int,
       level += 1
     }
     WaveletTree.pack(pi, pj)
-  }
-
-  /** Symbol at position i (used only in tests — access is not on the paper's
-    * query path).
-    */
-  def access(i: Int): Int = {
-    var lo = 0
-    var hi = n
-    var p = i
-    var c = 0
-    var level = 0
-    while (level < levels) {
-      val bv = lvl(level)
-      val zerosBeforeLo = bv.rank0(lo)
-      val zerosPrefix = bv.rank0(lo + p) - zerosBeforeLo
-      val zerosNode = bv.rank0(hi) - zerosBeforeLo
-      c <<= 1
-      if (!bv.get(lo + p)) { p = zerosPrefix; hi = lo + zerosNode }
-      else { c |= 1; p = p - zerosPrefix; lo = lo + zerosNode }
-      level += 1
-    }
-    c
   }
 
   def memoryBytes: Long = lvl.map(_.memoryBytes).sum + 48

@@ -10,16 +10,6 @@ final case class Histogram(h: Double, counts: Map[Int, Double]) {
 
   def bucketOf(x: Double): Int = math.floor(x / h).toInt
 
-  /** B(H, [ts, te)) of §4.4/§5.3 — mass of all buckets in the value range,
-    * counting partially covered buckets proportionally.
-    */
-  def massInRange(ts: Double, te: Double): Double =
-    counts.iterator.map { case (b, c) =>
-      val lo = b * h; val hi = (b + 1) * h
-      val overlap = math.max(0.0, math.min(hi, te) - math.max(lo, ts))
-      c * overlap / h
-    }.sum
-
   /** Discrete convolution H ∗ H′ (§2.3): bucket indexes add, counts multiply.
     * Matches the paper's worked example (H1∗H2 over ⟨A,B⟩/⟨E⟩).
     */

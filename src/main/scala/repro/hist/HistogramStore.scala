@@ -2,6 +2,7 @@ package repro.hist
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.TimeInterval.DaySec
 import repro.traj.Traversal
 
 /** The Histogram Store of Fig 2: a time-of-day histogram H_e per segment
@@ -14,7 +15,7 @@ import repro.traj.Traversal
   */
 final class HistogramStore(val bucketSec: Int,
                            val buckets: Map[(Int, Int), Array[Int]]) extends Serializable {
-  private val nBuckets = (HistogramStore.DaySec / bucketSec).toInt
+  private val nBuckets = (DaySec / bucketSec).toInt
 
   // Per-edge view: a selectivity lookup must only scan the edge's own
   // histograms (one per non-empty partition), not the whole store.
@@ -45,11 +46,11 @@ final class HistogramStore(val bucketSec: Int,
       }
       m
     }
-    val s = ((ts % HistogramStore.DaySec) + HistogramStore.DaySec) % HistogramStore.DaySec
-    val e = ((te % HistogramStore.DaySec) + HistogramStore.DaySec) % HistogramStore.DaySec
+    val s = ((ts % DaySec) + DaySec) % DaySec
+    val e = ((te % DaySec) + DaySec) % DaySec
     if (s < e) massRange(s.toDouble, e.toDouble)
     else if (s == e) totalOf(edge).toDouble // full-day window
-    else massRange(s.toDouble, HistogramStore.DaySec.toDouble) + massRange(0.0, e.toDouble)
+    else massRange(s.toDouble, DaySec.toDouble) + massRange(0.0, e.toDouble)
   }
 
   /** Eq. 2: selectivity of a periodic window on `edge`. */
@@ -64,8 +65,6 @@ final class HistogramStore(val bucketSec: Int,
 }
 
 object HistogramStore {
-  val DaySec = 86400L
-
   /** Build from the traversal Dataset with a Catalyst aggregation.
     * `partitionOf` maps an entry timestamp to its temporal-partition id
     * (constant 0 when temporal partitioning is off).

@@ -63,7 +63,4 @@ final class RoadNetwork(
     * (§2.2). Used as the fallback when no trajectory data exists for a segment.
     */
   def estimateTT(e: Int): Double = 3.6 * attr(e).lengthM / attr(e).speedLimitKmh
-
-  /** Fallback estimate for a whole path. */
-  def estimateTTPath(path: Seq[Int]): Double = path.map(estimateTT).sum
 }

@@ -3,6 +3,7 @@ package repro.sparkspq
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{FixedInterval, PeriodicInterval, TimeInterval}
+import repro.core.TimeInterval.DaySec
 import repro.traj.Traversal
 
 /** DataFrame-based strict-path-query engine — the distributed counterpart of
@@ -41,12 +42,6 @@ final class SparkSPQ(val spark: SparkSession, val trav: DataFrame, val trajs: Da
           + element_at(col("tts"), col("seq") + 1)).as("path_tt"),
       )
   }
-
-  /** Travel-time histogram of the query as (bucket, count) rows. */
-  def histogram(path: Seq[Int], interval: TimeInterval, user: Option[Int], h: Double): DataFrame =
-    travelTimes(path, interval, user)
-      .groupBy(floor(col("path_tt") / h).cast("long").as("bucket"))
-      .agg(count(lit(1)).as("cnt"))
 }
 
 object SparkSPQ {
@@ -56,8 +51,8 @@ object SparkSPQ {
     interval match {
       case FixedInterval(ts, te) => t >= ts && t < te
       case p: PeriodicInterval =>
-        if (p.sizeSec >= 86400L) lit(true)
-        else pmod(t - p.ts, lit(86400L)) < p.sizeSec
+        if (p.sizeSec >= DaySec) lit(true)
+        else pmod(t - p.ts, lit(DaySec)) < p.sizeSec
     }
 
   def build(spark: SparkSession, traversals: Dataset[Traversal]): SparkSPQ = {
@@ -96,8 +91,8 @@ object SparkSPQ {
     val timePred = interval match {
       case FixedInterval(ts, te) => s"CAST(t0.t AS BIGINT) >= $ts AND CAST(t0.t AS BIGINT) < $te"
       case p: PeriodicInterval =>
-        if (p.sizeSec >= 86400L) "TRUE"
-        else s"((CAST(t0.t AS BIGINT) - (${p.ts})) % 86400 + 86400) % 86400 < ${p.sizeSec}"
+        if (p.sizeSec >= DaySec) "TRUE"
+        else s"((CAST(t0.t AS BIGINT) - (${p.ts})) % $DaySec + $DaySec) % $DaySec < ${p.sizeSec}"
     }
     val userPred = user.map(u => s" AND CAST(t0.userId AS BIGINT) = $u").getOrElse("")
     val ttSum = (0 until l).map(i => s"CAST(t$i.tt AS DOUBLE)").mkString(" + ")

@@ -22,11 +22,6 @@ final class TemporalRecords(
   /** Payload bytes (excluding the search structure on top). */
   def memoryBytes: Long =
     t.length.toLong * (8 + 4 + 8 + 8 + 8 + 4 + 4) + 7 * 16
-
-  /** Same records without the partition-id column — models the ~300 MiB the
-    * paper saves when the partition feature is removed (§6.3).
-    */
-  def memoryBytesNoPartition: Long = memoryBytes - t.length.toLong * 4
 }
 
 object TemporalRecords {

@@ -33,28 +33,6 @@ final case class Traj(id: Long, user: Int, edges: Array[Int], times: Array[Long]
   /** Total trip duration. */
   def totalDur: Double = cum(edges.length - 1)
 
-  /** First position p where `path` occurs as a contiguous sub-path, or -1. */
-  def indexOfPath(path: IndexedSeq[Int]): Int = {
-    val l = path.length
-    var i = 0
-    while (i + l <= edges.length) {
-      var k = 0
-      while (k < l && edges(i + k) == path(k)) k += 1
-      if (k == l) return i
-      i += 1
-    }
-    -1
-  }
-
   def toTraversals: Seq[Traversal] =
     edges.indices.map(i => Traversal(id, user, i, edges(i), times(i), tts(i)))
-}
-
-object Traj {
-  /** Rebuild in-memory trajectories from traversal rows (any order). */
-  def fromTraversals(rows: Iterable[Traversal]): Array[Traj] =
-    rows.groupBy(_.trajId).toArray.sortBy(_._1).map { case (id, ts) =>
-      val s = ts.toArray.sortBy(_.seq)
-      Traj(id, s.head.userId, s.map(_.edge), s.map(_.t), s.map(_.tt))
-    }
 }

@@ -1,6 +1,7 @@
 package repro.traj
 
 import org.apache.spark.sql.{Dataset, SparkSession}
+import repro.core.TimeInterval.DaySec
 import repro.network.{Category, NetworkGen, RoadNetwork, Zone}
 
 import scala.util.Random
@@ -34,8 +35,6 @@ object TrajectoryGen {
       days: Int = 365,
       seed: Long = 7L,
   )
-
-  val DaySec = 86400L
 
   /** Route pool: shortest paths between vertex pairs biased toward distinct
     * grid corners/cities so routes traverse both city and rural zones.

@@ -72,6 +72,20 @@ class EndToEndSpec extends SparkSpec {
     assert(acc <= isa, s"ISA=$isa CSS-Acc=$acc")
   }
 
+  test("fig10 and fig11 run over the bundle and leave its broadcasts usable") {
+    val fig10 = Experiments.fig10(bundle)
+    assert(fig10._1.size == 6 && fig10._2.size == 15)
+    assert(Experiments.fig10Lines(fig10).size == 1 + 6 + 1 + 15)
+    val fig11 = Experiments.fig11(bundle, 15)
+    assert(fig11.qErrors.size == 5 && fig11.runtime.size == 30 && fig11.accuracy.size == 25)
+    assert(Experiments.fig11Lines(fig11).size == 3 + 5 + 30 + 25)
+    // The Figs 5–9 grid reuses the bundle's broadcasts after Fig 11 in the
+    // same JVM; a destroyed broadcast fails this evaluation.
+    val r = EvalRunner.evaluate(spark, bundle.bIndex, Some(bundle.bStore), bundle.queries,
+                                Workload.Temporal, ZonePartitioner, SigmaR, beta = 10)
+    assert(r.smape > 0)
+  }
+
   test("gridConfigs enumerates the paper's configuration grid") {
     val cfgs = Experiments.gridConfigs(Seq(10, 20))
     // (7 + 4 + 4) π-choices × 2 σ × 2 β

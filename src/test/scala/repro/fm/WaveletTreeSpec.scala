@@ -20,13 +20,6 @@ class WaveletTreeSpec extends AnyFunSuite {
     }
   }
 
-  test("RankBitVector get returns the stored bits") {
-    val rnd = new Random(12)
-    val b = Array.fill(200)(rnd.nextBoolean())
-    val bv = RankBitVector.fromBooleans(b)
-    b.indices.foreach(i => assert(bv.get(i) == b(i)))
-  }
-
   test("wavelet tree rank matches naive on random sequences, several alphabets") {
     val rnd = new Random(13)
     for (sigma <- Seq(2, 3, 5, 8, 17, 64)) {
@@ -67,13 +60,6 @@ class WaveletTreeSpec extends AnyFunSuite {
         }
       }
     }
-  }
-
-  test("wavelet tree access reconstructs the sequence") {
-    val rnd = new Random(14)
-    val s = Array.fill(300)(rnd.nextInt(10))
-    val wt = WaveletTree.build(s, 10)
-    s.indices.foreach(i => assert(wt.access(i) == s(i)))
   }
 
   test("rank of out-of-alphabet symbol and of i=0 is 0") {

@@ -48,15 +48,6 @@ class HistogramSpec extends AnyFunSuite {
     }
   }
 
-  test("massInRange counts full and partial buckets proportionally") {
-    val h = Histogram(10.0, Map(0 -> 10.0, 1 -> 20.0)) // [0,10): 10, [10,20): 20
-    assert(math.abs(h.massInRange(0, 20) - 30.0) < 1e-9)
-    assert(math.abs(h.massInRange(0, 10) - 10.0) < 1e-9)
-    assert(math.abs(h.massInRange(5, 10) - 5.0) < 1e-9)
-    assert(math.abs(h.massInRange(5, 15) - 15.0) < 1e-9)
-    assert(math.abs(h.massInRange(25, 30)) < 1e-9)
-  }
-
   test("smoothedMass mixes the bucket fraction with the uniform floor (γ)") {
     val h = Histogram(10.0, Map(0 -> 1.0, 1 -> 3.0))
     val gamma = 0.99

@@ -24,11 +24,6 @@ class RoadNetworkSpec extends AnyFunSuite {
   test("Table 1: estimateTT of segment F is 36.0 s") {
     assert(math.abs(Fixtures.paperNetwork.estimateTT(Fixtures.F) - 36.0) < 0.01)
   }
-  test("estimateTTPath sums segment estimates") {
-    val n = Fixtures.paperNetwork
-    val p = Seq(Fixtures.A, Fixtures.B, Fixtures.E)
-    assert(math.abs(n.estimateTTPath(p) - (n.estimateTT(1) + n.estimateTT(2) + n.estimateTT(5))) < 1e-9)
-  }
 
   private val net = NetworkGen.generate(12, 12, seed = 5L)
 

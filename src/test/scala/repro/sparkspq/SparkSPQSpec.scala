@@ -120,14 +120,22 @@ class SparkSPQSpec extends SparkSpec {
     Oracle.assertEquivalent(sntDf, sql, "trav" -> ds.toDF())
   }
 
-  test("histogram DataFrame buckets the travel times") {
-    val (path, anchor) = randomQueryPaths(30, 209).find(_._1.length >= 2).get
-    val iv = FixedInterval(0, index.tmaxGlobal)
-    val tts = sparkTT(path, iv, None)
-    val hist = engine.histogram(path, iv, None, 10.0).collect()
-      .map(r => r.getLong(0) -> r.getLong(1)).toMap
-    val want = tts.groupBy(x => math.floor(x / 10.0).toLong).map { case (b, g) => b -> g.size.toLong }
-    assert(hist == want)
+  test("Oracle.assertEquivalent passes on a matching aggregation") {
+    val trav = ds.toDF().limit(500).cache()
+    val sparkRes = trav.groupBy("edge").agg(count(lit(1)).as("cnt"))
+    Oracle.assertEquivalent(sparkRes,
+      "SELECT edge, COUNT(*) AS cnt FROM trav GROUP BY edge",
+      "trav" -> trav)
+  }
+
+  test("Oracle.assertEquivalent catches a wrong result") {
+    val trav = ds.toDF().limit(100).cache()
+    val wrong = trav.groupBy("edge").agg((count(lit(1)) + 1).as("cnt"))
+    intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(wrong,
+        "SELECT edge, COUNT(*) AS cnt FROM trav GROUP BY edge",
+        "trav" -> trav)
+    }
   }
 
   test("empty result for a path that is never strictly traversed") {

@@ -87,12 +87,6 @@ class TemporalSpec extends AnyFunSuite {
     assert(r.minKey == 10 && r.maxKey == 30)
   }
 
-  test("TemporalRecords memory without partition ids is 4 bytes/record smaller") {
-    val rows = Array.tabulate(100)(i => TemporalRecords.Row(i.toLong, i, i.toLong, 1.0, 1.0, 0, 0))
-    val r = TemporalRecords.fromRows(rows)
-    assert(r.memoryBytes - r.memoryBytesNoPartition == 400L)
-  }
-
   test("empty records have sane min/max sentinels") {
     val r = TemporalRecords.fromRows(Array.empty)
     assert(r.size == 0 && r.minKey > r.maxKey)

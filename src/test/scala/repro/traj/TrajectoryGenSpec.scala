@@ -13,6 +13,13 @@ class TrajectoryGenSpec extends SparkSpec {
   private val cfg = TrajectoryGen.Config(300, 10, 30, 30, seed = 23L)
   private lazy val trajs = TrajectoryGen.collectTrajs(net, cfg)
 
+  /** Rebuild in-memory trajectories from traversal rows (any order). */
+  private def fromTraversals(rows: Iterable[Traversal]): Array[Traj] =
+    rows.groupBy(_.trajId).toArray.sortBy(_._1).map { case (id, ts) =>
+      val s = ts.toArray.sortBy(_.seq)
+      Traj(id, s.head.userId, s.map(_.edge), s.map(_.t), s.map(_.tt))
+    }
+
   test("generates the requested number of trajectories") {
     assert(trajs.length == 300)
   }
@@ -112,7 +119,7 @@ class TrajectoryGenSpec extends SparkSpec {
   test("Dataset generation matches driver-side generation") {
     import spark.implicits._
     val ds = TrajectoryGen.traversals(spark, net, cfg)
-    val fromDs = Traj.fromTraversals(ds.collect())
+    val fromDs = fromTraversals(ds.collect())
     assert(fromDs.length == trajs.length)
     for ((a, b) <- fromDs.sortBy(_.id).zip(trajs.sortBy(_.id))) {
       assert(a.user == b.user)
@@ -127,13 +134,5 @@ class TrajectoryGenSpec extends SparkSpec {
     assert(math.abs(tr.durRange(0, tr.length) - tr.tts.sum) < 1e-9)
     if (tr.length >= 3)
       assert(math.abs(tr.durRange(1, 3) - (tr.tts(1) + tr.tts(2))) < 1e-9)
-  }
-
-  test("Traj.indexOfPath finds contiguous sub-paths") {
-    val tr = trajs.maxBy(_.length)
-    val sub = tr.edges.slice(2, 5).toVector
-    val i = tr.indexOfPath(sub)
-    assert(i >= 0 && (0 until 3).forall(k => tr.edges(i + k) == sub(k)))
-    assert(tr.indexOfPath(Vector(-1, -2)) == -1)
   }
 }
