@@ -24,12 +24,16 @@ object BenchData {
     import repro.core.{SigmaL, SigmaR, ZonePartitioner, RegularPartitioner}
     import repro.eval.{EvalRunner, Workload}
     for (sigma <- Seq(SigmaR, SigmaL); pi <- Seq(ZonePartitioner, RegularPartitioner(1)))
-      EvalRunner.evaluate(bundle.spark, bundle.bIndex, Some(bundle.bStore),
+      EvalRunner.evaluate(bundle.spark, bundle.bIndex, bundle.bStore,
                           bundle.queries, Workload.Temporal, pi, sigma, 20)
     Experiments.accuracyGrid(bundle, Betas)
   }
 
-  private val outDir = Paths.get(sys.props.getOrElse("bench.out", "/root/repo/bench_results"))
+  /** Where the tables go: the build sets `bench.out` to the checkout's
+    * `bench_results/`.
+    */
+  private val outDir = Paths.get(sys.props.getOrElse("bench.out",
+    sys.error("bench.out is not set; run the suites with `sbt bench/test`")))
 
   /** Print rows and persist them for EXPERIMENTS.md. */
   def emit(name: String, lines: Seq[String]): Unit = {

@@ -23,7 +23,7 @@ sealed trait Partitioner extends Serializable {
     }
     bounds += q.path.length
     bounds.sliding(2).map { case collection.mutable.ArrayBuffer(a, b) =>
-      q.copy(path = q.path.slice(a, b), startIdx = q.startIdx + a, endIdx = q.startIdx + b)
+      q.copy(path = q.path.slice(a, b), startIdx = q.startIdx + a)
     }.toVector
   }
 }
@@ -35,10 +35,8 @@ final case class RegularPartitioner(p: Int) extends Partitioner {
   require(p >= 1)
   val name = s"pi$p"
   def apply(q: Spq, net: RoadNetwork): Vector[Spq] =
-    (0 until q.path.length by p).map { a =>
-      val b = math.min(q.path.length, a + p)
-      q.copy(path = q.path.slice(a, b), startIdx = q.startIdx + a, endIdx = q.startIdx + b)
-    }.toVector
+    (0 until q.path.length by p)
+      .map(a => q.copy(path = q.path.slice(a, a + p), startIdx = q.startIdx + a)).toVector
 }
 
 /** π_C — cut at segment-category changes (§3.2.2). */

@@ -16,7 +16,9 @@ case object BtForest extends TreeType
   * partitioning is off, §4.3.2) over the concatenated trajectory string.
   * Temporal part: a forest with one search tree per edge over columnar leaf
   * records extended with (TT, seq, a) (§4.1.3), plus the associative
-  * container U mapping trajectory ids to user ids for the filter predicate f.
+  * container U mapping a leaf's trajectory reference d — the trajectory's
+  * position in the array `build` was given — to its user id for the filter
+  * predicate f.
   *
   * `getTravelTimes` is Procedure 5 built from Procedure 2 (backward search),
   * Procedure 3 (buildMap over the first edge) and Procedure 4 (probeMap over
@@ -32,13 +34,13 @@ final class SNTIndex(
     val lastEntry: Array[Long],
     val records: Array[TemporalRecords],   // indexed by edge id; null = no data
     val search: Array[TemporalSearch],
-    val userOf: java.util.HashMap[java.lang.Long, Integer],
+    val users: Array[Int],                 // U: users(d) drives trajectory d
     val tminGlobal: Long,
     val tmaxGlobal: Long,
-    val treeType: TreeType,
 ) extends Serializable {
 
-  @inline private def key(d: Long, seq: Int): Long = (d << SNTIndex.SeqBits) | seq.toLong
+  // The (d, seq) key of Procedures 3–4: d < 2^31 and seq < 2^SeqBits, so distinct pairs never share a key.
+  @inline private def key(d: Int, seq: Int): Long = (d.toLong << SNTIndex.SeqBits) | seq.toLong
 
   /** Procedure 2 across temporal partitions: one ISA range per partition. */
   def pathRanges(path: IndexedSeq[Int]): Array[(Int, Int)] = rangesMeeting(path, Long.MinValue, Long.MaxValue)
@@ -88,12 +90,7 @@ final class SNTIndex(
     @inline def accept(i: Int): Boolean = {
       val (st, ed) = ranges(recs.w(i))
       if (recs.isa(i) < st || recs.isa(i) >= ed) false
-      else user match {
-        case Some(u) =>
-          val got = userOf.get(recs.d(i))
-          got != null && got.intValue() == u
-        case None => true
-      }
+      else user.isEmpty || users(recs.d(i)) == user.get
     }
     interval match {
       case FixedInterval(ts, te) =>
@@ -179,7 +176,7 @@ final class SNTIndex(
   /** Wavelet trees, one per partition. */
   def memWT: Long = partitions.map(_.bwtTree.memoryBytes).sum
   /** Associative container U (d → u). */
-  def memUser: Long = userOf.size.toLong * (8 + 4 + 36)
+  def memUser: Long = users.length.toLong * 4 + 16
   /** Temporal forest: leaf columns + search structures. */
   def memForest: Long = {
     var s = 0L
@@ -202,14 +199,22 @@ object SNTIndex {
 
   /** Build the index from in-memory trajectories.
     *
+    * @param trajs         leaves refer to a trajectory by its position here, so ids may repeat
     * @param partitionDays temporal partition size in days (§4.3.2);
     *                      None = single partition (FULL)
     */
   def build(net: RoadNetwork, trajs: Array[Traj], treeType: TreeType = CssForest,
             partitionDays: Option[Int] = None): SNTIndex = {
     require(trajs.nonEmpty, "no trajectories")
-    trajs.foreach(t => require(t.length < (1 << SeqBits),
-      s"trajectory ${t.id} has ${t.length} segments; at most ${(1 << SeqBits) - 1} are supported"))
+    trajs.foreach { t =>
+      require(t.length > 0, s"trajectory ${t.id} has no segments")
+      require(t.times.length == t.length && t.tts.length == t.length,
+        s"trajectory ${t.id} has ${t.length} edges, ${t.times.length} entry times and ${t.tts.length} travel times")
+      require(t.length < (1 << SeqBits),
+        s"trajectory ${t.id} has ${t.length} segments; at most ${(1 << SeqBits) - 1} are supported")
+      val bad = t.edges.indexWhere(e => e < 1 || e > net.numEdges)
+      require(bad < 0, s"trajectory ${t.id} has edge id ${t.edges(bad)} at position $bad, outside [1, ${net.numEdges}]")
+    }
     val tmin = trajs.iterator.map(_.t0).min
     val tmax = trajs.iterator.map(t => t.times(t.length - 1) + math.ceil(t.tts(t.length - 1)).toLong).max + 1
 
@@ -252,11 +257,9 @@ object SNTIndex {
     val firstEntry = Array.fill(numW)(Long.MaxValue)
     val lastEntry = Array.fill(numW)(Long.MinValue)
     val perEdge = new Array[collection.mutable.ArrayBuffer[TemporalRecords.Row]](net.numEdges + 1)
-    val userOf = new java.util.HashMap[java.lang.Long, Integer](trajs.length * 2)
     i = 0
     while (i < trajs.length) {
       val tr = trajs(i)
-      userOf.put(tr.id, tr.user)
       val wi = w(i)
       val isa = isas(wi)
       var k = 0
@@ -265,7 +268,7 @@ object SNTIndex {
         firstEntry(wi) = math.min(firstEntry(wi), tr.times(k))
         lastEntry(wi) = math.max(lastEntry(wi), tr.times(k))
         if (perEdge(e) == null) perEdge(e) = collection.mutable.ArrayBuffer.empty
-        perEdge(e) += TemporalRecords.Row(tr.times(k), isa(offsets(i) + k), tr.id,
+        perEdge(e) += TemporalRecords.Row(tr.times(k), isa(offsets(i) + k), i,
                                           tr.tts(k), tr.cum(k), k, wi)
         k += 1
       }
@@ -286,6 +289,6 @@ object SNTIndex {
       }
       e += 1
     }
-    new SNTIndex(net, fms, firstEntry, lastEntry, records, search, userOf, tmin, tmax, treeType)
+    new SNTIndex(net, fms, firstEntry, lastEntry, records, search, trajs.map(_.user), tmin, tmax)
   }
 }

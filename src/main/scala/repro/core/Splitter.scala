@@ -37,7 +37,7 @@ final class Splitter(val A: Vector[Long], val method: SplitMethod, index: SNTInd
           case f: FixedInterval    => f
         }
         Vector(
-          q.copy(path = q.path.take(m), interval = newIv, endIdx = q.startIdx + m),
+          q.copy(path = q.path.take(m), interval = newIv),
           q.copy(path = q.path.drop(m), interval = newIv, startIdx = q.startIdx + m),
         )
       } else if (q.user.nonEmpty) {

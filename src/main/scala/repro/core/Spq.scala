@@ -74,11 +74,11 @@ final case class Spq(
     user: Option[Int],
     beta: Option[Int],
     startIdx: Int,
-    endIdx: Int,
     relaxed: Boolean = false,
 ) {
   require(path.nonEmpty, "empty path")
   require(interval.sizeSec >= 0, s"interval $interval starts after it ends")
   require(beta.forall(_ > 0), s"cardinality requirement β must be positive, got ${beta.get}")
   def length: Int = path.length
+  def endIdx: Int = startIdx + path.length
 }

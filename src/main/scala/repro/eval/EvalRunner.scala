@@ -41,24 +41,22 @@ object EvalRunner {
   def evaluate(
       spark: SparkSession,
       bIndex: Broadcast[SNTIndex],
-      bStore: Option[Broadcast[HistogramStore]],
+      bStore: Broadcast[HistogramStore],
       queries: Array[Traj],
       qt: Workload.QueryType,
       pi: Partitioner,
       sigma: SplitMethod,
       beta: Int,
-      a: Vector[Long] = DefaultA,
       estimatorMode: Option[EstimatorMode] = None,
   ): ConfigResult = {
     val sc: SparkContext = spark.sparkContext
-    val alphaMin = a.head
     val nPart = math.max(1, math.min(queries.length, sc.defaultParallelism * 2))
     val rows = sc.parallelize(queries.toIndexedSeq, nPart).map { tr =>
       val index = bIndex.value
-      val splitter = new Splitter(a, sigma, index)
-      val est = estimatorMode.map(m => new CardinalityEstimator(index, bStore.map(_.value), m))
+      val splitter = new Splitter(DefaultA, sigma, index)
+      val est = estimatorMode.map(m => new CardinalityEstimator(index, Some(bStore.value), m))
       val proc = new TripQueryProcessor(index, splitter, 10.0, est)
-      val q = Workload.baseSpq(tr, qt, alphaMin, beta)
+      val q = Workload.baseSpq(tr, qt, DefaultA.head, beta)
       val t0 = System.nanoTime()
       val res = proc.run(q, pi)
       val ms = (System.nanoTime() - t0) / 1e6
@@ -126,9 +124,9 @@ object EvalRunner {
     * sub-queries of the workload, against the true cardinalities (unlimited
     * β).
     */
-  def qErrorOfMode(index: SNTIndex, store: Option[HistogramStore], mode: EstimatorMode,
+  def qErrorOfMode(index: SNTIndex, store: HistogramStore, mode: EstimatorMode,
                    queries: Array[Traj], qt: Workload.QueryType, alphaMin: Long): Double = {
-    val est = new CardinalityEstimator(index, store, mode)
+    val est = new CardinalityEstimator(index, Some(store), mode)
     var sum = 0.0
     var cnt = 0
     for (tr <- queries) {

@@ -45,7 +45,8 @@ object Experiments {
     val net = NetworkGen.generate(s.gridW, s.gridH, s.seed)
     val cfg = TrajectoryGen.Config(s.numTraj, s.numDrivers, s.numRoutes, s.days, s.seed)
     val trajs = TrajectoryGen.collectTrajs(net, cfg)
-    val traversals = TrajectoryGen.traversals(spark, net, cfg)
+    // Cached: the Histogram Stores of Figs 10–11 all aggregate it.
+    val traversals = TrajectoryGen.traversals(spark, net, cfg).cache()
     val index = SNTIndex.build(net, trajs, CssForest, None)
     val store = HistogramStore.build(spark, traversals, bucketSec = 600)
     val queries = Workload.sampleQueries(trajs, s.numQueries, s.seed + 1)
@@ -75,7 +76,7 @@ object Experiments {
   /** Runs the full grid; one ConfigResult per point of Figs 5–9. */
   def accuracyGrid(b: Bundle, betas: Seq[Int]): Seq[ConfigResult] =
     gridConfigs(betas).map { case (qt, pi, sigma, beta) =>
-      EvalRunner.evaluate(b.spark, b.bIndex, Some(b.bStore), b.queries, qt, pi, sigma, beta)
+      EvalRunner.evaluate(b.spark, b.bIndex, b.bStore, b.queries, qt, pi, sigma, beta)
     }
 
   /** The §6.1 reference numbers of the bundle's query set, as one line. */
@@ -140,10 +141,10 @@ object Experiments {
       accuracy: Seq[(String, String, Double)],              // 11c: partition label, mode, sMAPE
   )
 
-  /** Fig 11 over the bundle's dataset. 11a and the JIT warm-up use the
-    * bundle's FULL index, store and broadcasts, which stay alive for later
-    * figures; the per-partition indexes and stores of 11b/11c are built here
-    * and their broadcasts destroyed.
+  /** Fig 11 over the bundle's dataset. 11a, the JIT warm-up and the FULL CSS
+    * row of 11b/11c use the bundle's FULL index, store and broadcasts, which
+    * stay alive for later figures; the other indexes and stores of 11b/11c
+    * are built here and their broadcasts destroyed.
     */
   def fig11(b: Bundle, qErrQueries: Int = 200): Fig11Result = {
     val spark = b.spark
@@ -156,15 +157,15 @@ object Experiments {
     val qeQueries = b.queries.take(qErrQueries)
     val modes = Seq(IsaOnly, BtFast, CssFast, BtAcc, CssAcc)
     val qErrors = modes.map { m =>
-      val qTod = EvalRunner.qErrorOfMode(b.index, Some(b.store), m, qeQueries,
+      val qTod = EvalRunner.qErrorOfMode(b.index, b.store, m, qeQueries,
                                          Workload.Temporal, alphaMin)
-      val qFix = EvalRunner.qErrorOfMode(b.index, Some(b.store), m, qeQueries,
+      val qFix = EvalRunner.qErrorOfMode(b.index, b.store, m, qeQueries,
                                          Workload.SpqOnly, alphaMin)
       m.name -> (qTod + qFix) / 2
     }
 
     // JIT warm-up so the first runtime rows aren't compilation noise.
-    EvalRunner.evaluate(spark, b.bIndex, Some(b.bStore), b.queries, Workload.Temporal,
+    EvalRunner.evaluate(spark, b.bIndex, b.bStore, b.queries, Workload.Temporal,
                         ZonePartitioner, SigmaR, 20)
 
     // 11b + 11c: π_Z, σ_R, β = 20 across partition sizes and variants.
@@ -173,11 +174,11 @@ object Experiments {
     val runtime = collection.mutable.ArrayBuffer.empty[(String, String, Double)]
     val accuracy = collection.mutable.ArrayBuffer.empty[(String, String, Double)]
     for ((label, pd) <- partSizes) {
-      val store = HistogramStore.build(spark, b.traversals, 600, pd)
-      val bStore = spark.sparkContext.broadcast(store)
+      val bStore = if (pd.isEmpty) b.bStore
+                   else spark.sparkContext.broadcast(HistogramStore.build(spark, b.traversals, 600, pd))
       for (tree <- Seq(CssForest, BtForest)) {
-        val idx = SNTIndex.build(b.net, b.trajs, tree, pd)
-        val bIdx = spark.sparkContext.broadcast(idx)
+        val bIdx = if (pd.isEmpty && tree == CssForest) b.bIndex
+                   else spark.sparkContext.broadcast(SNTIndex.build(b.net, b.trajs, tree, pd))
         val treeName = if (tree == CssForest) "CSS" else "BT"
         val variantModes: Seq[(String, Option[EstimatorMode])] =
           if (tree == CssForest)
@@ -185,20 +186,20 @@ object Experiments {
           else
             Seq((treeName, None), ("BT-Fast", Some(BtFast)), ("BT-Acc", Some(BtAcc)))
         for ((vName, mode) <- variantModes) {
-          val r = EvalRunner.evaluate(spark, bIdx, Some(bStore), b.queries, Workload.Temporal,
+          val r = EvalRunner.evaluate(spark, bIdx, bStore, b.queries, Workload.Temporal,
                                       ZonePartitioner, SigmaR, 20, estimatorMode = mode)
           runtime += ((label, vName, r.msPerQuery))
         }
         if (tree == CssForest) {
           for (m <- Seq(IsaOnly, CssFast, CssAcc, BtFast, BtAcc)) {
-            val r = EvalRunner.evaluate(spark, bIdx, Some(bStore), b.queries, Workload.Temporal,
+            val r = EvalRunner.evaluate(spark, bIdx, bStore, b.queries, Workload.Temporal,
                                         ZonePartitioner, SigmaR, 20, estimatorMode = Some(m))
             accuracy += ((label, m.name, r.smape))
           }
         }
-        bIdx.destroy()
+        if (bIdx ne b.bIndex) bIdx.destroy()
       }
-      bStore.destroy()
+      if (bStore ne b.bStore) bStore.destroy()
     }
     Fig11Result(qErrors, runtime.toSeq, accuracy.toSeq)
   }

@@ -34,15 +34,11 @@ object Workload {
     */
   def baseSpq(tr: Traj, qt: QueryType, alphaMin: Long, beta: Int): Spq = {
     val path = tr.edges.toVector
+    val periodic = PeriodicInterval(tr.t0 - alphaMin / 2, tr.t0 - alphaMin / 2 + alphaMin)
     qt match {
-      case Temporal =>
-        Spq(path, PeriodicInterval(tr.t0 - alphaMin / 2, tr.t0 - alphaMin / 2 + alphaMin),
-            None, Some(beta), 0, path.length)
-      case UserQ =>
-        Spq(path, PeriodicInterval(tr.t0 - alphaMin / 2, tr.t0 - alphaMin / 2 + alphaMin),
-            Some(tr.user), Some(beta), 0, path.length)
-      case SpqOnly =>
-        Spq(path, FixedInterval(0L, tr.t0), None, Some(beta), 0, path.length)
+      case Temporal => Spq(path, periodic, None, Some(beta), 0)
+      case UserQ    => Spq(path, periodic, Some(tr.user), Some(beta), 0)
+      case SpqOnly  => Spq(path, FixedInterval(0L, tr.t0), None, Some(beta), 0)
     }
   }
 }

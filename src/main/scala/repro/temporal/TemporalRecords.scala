@@ -2,14 +2,15 @@ package repro.temporal
 
 /** Columnar leaf records of one edge's temporal index, sorted by entry
   * timestamp `t`. Each position i is the extended leaf of §4.1.2/4.1.3:
-  * t → (isa, d, TT, a, seq, w): ISA value, trajectory id, traversal time,
+  * t → (isa, d, TT, a, seq, w): ISA value, trajectory reference (its
+  * position in the array the index was built from), traversal time,
   * cumulative travel time from the trajectory start, sequence number, and
   * the temporal-partition id (§4.3.2).
   */
 final class TemporalRecords(
     val t: Array[Long],
     val isa: Array[Int],
-    val d: Array[Long],
+    val d: Array[Int],
     val tt: Array[Double],
     val a: Array[Double],
     val seq: Array[Int],
@@ -21,11 +22,11 @@ final class TemporalRecords(
 
   /** Payload bytes (excluding the search structure on top). */
   def memoryBytes: Long =
-    t.length.toLong * (8 + 4 + 8 + 8 + 8 + 4 + 4) + 7 * 16
+    t.length.toLong * (8 + 4 + 4 + 8 + 8 + 4 + 4) + 7 * 16
 }
 
 object TemporalRecords {
-  final case class Row(t: Long, isa: Int, d: Long, tt: Double, a: Double, seq: Int, w: Int)
+  final case class Row(t: Long, isa: Int, d: Int, tt: Double, a: Double, seq: Int, w: Int)
 
   def fromRows(rows: Array[Row]): TemporalRecords = {
     val s = rows.sortBy(_.t)

@@ -19,59 +19,59 @@ class CardinalityEstimatorSpec extends AnyFunSuite {
   }))
 
   test("ISA mode returns the raw path count c_P") {
-    val q = Spq(Vector(A, B), PeriodicInterval(0, 900), None, Some(5), 0, 2)
+    val q = Spq(Vector(A, B), PeriodicInterval(0, 900), None, Some(5), 0)
     assert(new CardinalityEstimator(idx, None, IsaOnly).estimate(q) == 3.0)
   }
 
   test("ISA mode ignores every predicate") {
-    val q = Spq(Vector(A, B), PeriodicInterval(0, 900), Some(u1), Some(5), 0, 2)
+    val q = Spq(Vector(A, B), PeriodicInterval(0, 900), Some(u1), Some(5), 0)
     assert(new CardinalityEstimator(idx, None, IsaOnly).estimate(q) == 3.0)
   }
 
   test("Fast modes use the uniform time-of-day selectivity (Eq. 1)") {
-    val q = Spq(Vector(A, B), PeriodicInterval(0, 8640), None, Some(5), 0, 2) // 10% of a day
+    val q = Spq(Vector(A, B), PeriodicInterval(0, 8640), None, Some(5), 0) // 10% of a day
     val e = new CardinalityEstimator(idx, Some(store), CssFast).estimate(q)
     assert(math.abs(e - 3.0 * 0.1) < 1e-9)
   }
 
   test("Acc modes use the histogram-store selectivity (Eq. 2)") {
     // Window [0, 600) covers the only non-empty bucket of A → selectivity 1.
-    val q = Spq(Vector(A, B), PeriodicInterval(0, 600), None, Some(5), 0, 2)
+    val q = Spq(Vector(A, B), PeriodicInterval(0, 600), None, Some(5), 0)
     val e = new CardinalityEstimator(idx, Some(store), CssAcc).estimate(q)
     assert(math.abs(e - 3.0) < 1e-9)
     // Window [43200, 43800) covers no entries → estimate 0.
-    val q2 = Spq(Vector(A, B), PeriodicInterval(43200, 43800), None, Some(5), 0, 2)
+    val q2 = Spq(Vector(A, B), PeriodicInterval(43200, 43800), None, Some(5), 0)
     assert(new CardinalityEstimator(idx, Some(store), CssAcc).estimate(q2) == 0.0)
   }
 
   test("user predicate multiplies the Selinger 1/10 factor") {
-    val q = Spq(Vector(A, B), PeriodicInterval(0, 8640), Some(u1), Some(5), 0, 2)
+    val q = Spq(Vector(A, B), PeriodicInterval(0, 8640), Some(u1), Some(5), 0)
     val e = new CardinalityEstimator(idx, Some(store), CssFast).estimate(q)
     assert(math.abs(e - 3.0 * 0.1 * 0.1) < 1e-9)
   }
 
   test("CSS modes count fixed time frames exactly") {
     // Edge A entries at t = 0, 2, 4, 6; frame [1, 5) holds exactly 2 of 4.
-    val q = Spq(Vector(A), FixedInterval(1, 5), None, Some(5), 0, 1)
+    val q = Spq(Vector(A), FixedInterval(1, 5), None, Some(5), 0)
     val e = new CardinalityEstimator(idx, Some(store), CssFast).estimate(q)
     assert(math.abs(e - 4.0 * 0.5) < 1e-9)
   }
 
   test("BT modes approximate fixed time frames with Eq. 3") {
     // span = max − min = 6; frame [1, 5) → 4/6 of the span.
-    val q = Spq(Vector(A), FixedInterval(1, 5), None, Some(5), 0, 1)
+    val q = Spq(Vector(A), FixedInterval(1, 5), None, Some(5), 0)
     val e = new CardinalityEstimator(btIdx, Some(store), BtFast).estimate(q)
     assert(math.abs(e - 4.0 * (4.0 / 6.0)) < 1e-9)
   }
 
   test("Eq. 3 clamps to [0, 1]") {
-    val q = Spq(Vector(A), FixedInterval(-100, 100), None, Some(5), 0, 1)
+    val q = Spq(Vector(A), FixedInterval(-100, 100), None, Some(5), 0)
     val e = new CardinalityEstimator(btIdx, Some(store), BtFast).estimate(q)
     assert(math.abs(e - 4.0) < 1e-9)
   }
 
   test("unknown edge data yields estimate 0 for fixed frames") {
-    val q = Spq(Vector(F, A), FixedInterval(0, 5), None, Some(5), 0, 2) // path never traversed
+    val q = Spq(Vector(F, A), FixedInterval(0, 5), None, Some(5), 0) // path never traversed
     assert(new CardinalityEstimator(idx, Some(store), CssFast).estimate(q) == 0.0)
   }
 

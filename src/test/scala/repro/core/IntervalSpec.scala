@@ -66,28 +66,28 @@ class IntervalSpec extends AnyFunSuite {
 
   test("Spq rejects empty paths") {
     intercept[IllegalArgumentException] {
-      Spq(Vector.empty, FixedInterval(0, 1), None, None, 0, 0)
+      Spq(Vector.empty, FixedInterval(0, 1), None, None, 0)
     }
   }
 
   test("Spq.length is the path length") {
-    assert(Spq(Vector(1, 2, 3), FixedInterval(0, 1), None, None, 0, 3).length == 3)
+    assert(Spq(Vector(1, 2, 3), FixedInterval(0, 1), None, None, 0).length == 3)
   }
 
   test("Spq rejects an interval that starts after it ends, but keeps an empty one legal") {
     for (iv <- Seq(FixedInterval(20, 10), PeriodicInterval(7200, 3600))) {
-      val e = intercept[IllegalArgumentException](Spq(Vector(1), iv, None, Some(1), 0, 1))
+      val e = intercept[IllegalArgumentException](Spq(Vector(1), iv, None, Some(1), 0))
       assert(e.getMessage.contains("starts after it ends"))
     }
     // SPQ-Only's [0, t0) is empty for a trajectory that starts at time 0.
-    assert(Spq(Vector(1), FixedInterval(0, 0), None, Some(1), 0, 1).interval.sizeSec == 0)
+    assert(Spq(Vector(1), FixedInterval(0, 0), None, Some(1), 0).interval.sizeSec == 0)
   }
 
   test("Spq rejects a cardinality requirement β ≤ 0") {
     for (b <- Seq(0, -3)) {
-      val e = intercept[IllegalArgumentException](Spq(Vector(1), FixedInterval(0, 10), None, Some(b), 0, 1))
+      val e = intercept[IllegalArgumentException](Spq(Vector(1), FixedInterval(0, 10), None, Some(b), 0))
       assert(e.getMessage.contains(s"β must be positive, got $b"))
     }
-    assert(Spq(Vector(1), FixedInterval(0, 10), None, None, 0, 1).beta.isEmpty)
+    assert(Spq(Vector(1), FixedInterval(0, 10), None, None, 0).beta.isEmpty)
   }
 }

@@ -13,7 +13,7 @@ import scala.util.Random
 class PartitionerSpec extends AnyFunSuite {
   import Fixtures._
 
-  private val q = Spq(Vector(A, C, D, E), PeriodicInterval(0, 900), Some(u1), Some(5), 0, 4)
+  private val q = Spq(Vector(A, C, D, E), PeriodicInterval(0, 900), Some(u1), Some(5), 0)
 
   private def paths(ps: Vector[Spq]): Seq[Seq[Int]] = ps.map(_.path.toSeq)
 
@@ -66,7 +66,7 @@ class PartitionerSpec extends AnyFunSuite {
                   NonePartitioner, MdmPartitioner)
     for (_ <- 0 until 50) {
       val tr = trajs(rnd.nextInt(trajs.length))
-      val query = Spq(tr.edges.toVector, PeriodicInterval(0, 900), Some(tr.user), Some(3), 0, tr.length)
+      val query = Spq(tr.edges.toVector, PeriodicInterval(0, 900), Some(tr.user), Some(3), 0)
       for (pi <- pis) {
         val subs = pi(query, net)
         assert(subs.map(_.path).reduce(_ ++ _) == query.path, s"pi=${pi.name}")
@@ -90,7 +90,7 @@ class PartitionerSpec extends AnyFunSuite {
   }
 
   test("πC on a homogeneous path yields a single sub-query") {
-    val q2 = Spq(Vector(C, D), PeriodicInterval(0, 900), None, Some(3), 0, 2)
+    val q2 = Spq(Vector(C, D), PeriodicInterval(0, 900), None, Some(3), 0)
     assert(paths(CategoryPartitioner(q2, paperNetwork)) == Seq(Seq(C, D)))
   }
 }

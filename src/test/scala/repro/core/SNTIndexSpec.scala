@@ -19,23 +19,23 @@ class SNTIndexSpec extends AnyFunSuite {
   private def sortedTT(xs: Iterable[Double]): Seq[Double] = xs.toSeq.sorted.map(x => math.round(x * 1e6) / 1e6)
 
   test("paper §2.3: spq(⟨A,B,E⟩, [0,15), u=u1, 2) returns durations {10, 11}") {
-    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), Some(u1), Some(2), 0, 3)
+    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), Some(u1), Some(2), 0)
     assert(sortedTT(idx.getTravelTimes(q)) == Seq(10.0, 11.0))
   }
 
   test("paper §2.3: Q1 = spq(⟨A,B⟩, [0,15), ∅, 3) yields H1 = {[6,7):2, [7,8):1}") {
-    val q = Spq(Vector(A, B), FixedInterval(0, 15), None, Some(3), 0, 2)
+    val q = Spq(Vector(A, B), FixedInterval(0, 15), None, Some(3), 0)
     val x = idx.getTravelTimes(q)
     assert(sortedTT(x) == Seq(6.0, 6.0, 7.0))
   }
 
   test("paper §2.3: Q2 = spq(⟨E⟩, [0,15), ∅, 3) yields H2 = {[4,5):2, [5,6):1}") {
-    val q = Spq(Vector(E), FixedInterval(0, 15), None, Some(3), 0, 1)
+    val q = Spq(Vector(E), FixedInterval(0, 15), None, Some(3), 0)
     assert(sortedTT(idx.getTravelTimes(q)) == Seq(4.0, 4.0, 5.0))
   }
 
   test("user filter u2 restricts to tr1 and tr2") {
-    val q = Spq(Vector(A), FixedInterval(0, 100), Some(u2), None, 0, 1)
+    val q = Spq(Vector(A), FixedInterval(0, 100), Some(u2), None, 0)
     assert(sortedTT(idx.getTravelTimes(q)) == Seq(3.0, 4.0))
   }
 
@@ -45,37 +45,37 @@ class SNTIndexSpec extends AnyFunSuite {
   }
 
   test("β caps the number of returned travel times") {
-    val q = Spq(Vector(A), FixedInterval(0, 100), None, Some(2), 0, 1)
+    val q = Spq(Vector(A), FixedInterval(0, 100), None, Some(2), 0)
     assert(idx.getTravelTimes(q).length == 2)
   }
 
   test("non-relaxed query below β returns empty") {
-    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), Some(u1), Some(5), 0, 3)
+    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), Some(u1), Some(5), 0)
     assert(idx.getTravelTimes(q).isEmpty)
   }
 
   test("relaxed query returns whatever exists regardless of β") {
-    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(50), 0, 3, relaxed = true)
+    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(50), 0, relaxed = true)
     assert(idx.getTravelTimes(q).length == 2) // tr0 and tr3 traverse ⟨A,B,E⟩
   }
 
   test("single-segment fixed query with no data falls back to estimateTT") {
     // Segment F in an interval with no entries.
-    val q = Spq(Vector(F), FixedInterval(100, 200), None, None, 0, 1)
+    val q = Spq(Vector(F), FixedInterval(100, 200), None, None, 0)
     val x = idx.getTravelTimes(q)
     assert(x.length == 1)
     assert(math.abs(x(0) - paperNetwork.estimateTT(F)) < 1e-9)
   }
 
   test("multi-segment query with empty ISA range returns empty, not fallback") {
-    val q = Spq(Vector(E, A), FixedInterval(0, 100), None, None, 0, 2)
+    val q = Spq(Vector(E, A), FixedInterval(0, 100), None, None, 0)
     assert(idx.getTravelTimes(q).isEmpty)
   }
 
   test("periodic interval filters by time of day") {
     // All example entries are within seconds 0–12 of day 0; a periodic window
     // [0, 5) keeps only entries with tod ∈ {0,2,4}.
-    val q = Spq(Vector(A), PeriodicInterval(0, 5), None, None, 0, 1)
+    val q = Spq(Vector(A), PeriodicInterval(0, 5), None, None, 0)
     val x = idx.getTravelTimes(q)
     assert(x.length == 3) // tr0 (t=0), tr1 (t=2), tr2 (t=4)
   }
@@ -84,7 +84,7 @@ class SNTIndexSpec extends AnyFunSuite {
     val day = 86400L
     val shifted = paperTrajs.map(t => t.copy(times = t.times.map(_ + 3 * day)))
     val idx2 = SNTIndex.build(paperNetwork, shifted)
-    val q = Spq(Vector(A), PeriodicInterval(0, 5), None, None, 0, 1)
+    val q = Spq(Vector(A), PeriodicInterval(0, 5), None, None, 0)
     assert(idx2.getTravelTimes(q).length == 3)
   }
 
@@ -118,7 +118,7 @@ class SNTIndexSpec extends AnyFunSuite {
           PeriodicInterval(anchor - 1800, anchor + 1800)
       }
       val user = if (rnd.nextBoolean()) None else Some(tr.user)
-      val q = Spq(path, interval, user, None, 0, path.length)
+      val q = Spq(path, interval, user, None, 0)
       val got = sortedTT(index.getTravelTimes(q))
       val naive = naiveTravelTimes(trajs.toSeq, path, interval, user)
       // Procedure 5 line 12: empty single-segment fixed-interval queries fall
@@ -215,7 +215,7 @@ class SNTIndexSpec extends AnyFunSuite {
       for ((path, u) <- samplePaths(106, 60) ++ firstPaths; iv <- ivs; user <- Seq(None, Some(u));
            beta <- Seq(None, Some(1), Some(3))) {
         val clue = s"W=${part.partitions.length} path=$path iv=$iv user=$user beta=$beta"
-        val q = Spq(path, iv, user, beta, 0, path.length)
+        val q = Spq(path, iv, user, beta, 0)
         assert(sortedTT(part.getTravelTimes(q)) == sortedTT(fullIdx.getTravelTimes(q)), clue)
         assert(sortedTT(part.getTravelTimes(q.copy(relaxed = true))) ==
                sortedTT(fullIdx.getTravelTimes(q.copy(relaxed = true))), clue)
@@ -258,11 +258,33 @@ class SNTIndexSpec extends AnyFunSuite {
     assert(part.memC == full.memC * part.partitions.length)
   }
 
-  test("userOf container maps every trajectory to its driver") {
-    for (tr <- trajs.take(50))
-      assert(idxOf(trajs).userOf.get(tr.id).intValue() == tr.user)
+  test("users container maps each build position to its driver") {
+    assert(fullIdx.users.toSeq == trajs.map(_.user).toSeq)
+    for (e <- fullIdx.records.indices; r = fullIdx.records(e) if r != null; i <- 0 until r.size) {
+      val tr = trajs(r.d(i))
+      assert(tr.edges(r.seq(i)) == e && tr.times(r.seq(i)) == r.t(i), s"edge=$e leaf=$i")
+    }
   }
-  private def idxOf(ts: Array[Traj]) = SNTIndex.build(net, ts, CssForest, None)
+
+  test("trajectory ids that repeat or differ by 2^50 do not merge (d, seq) keys") {
+    val paths = paperTrajs.toSeq.flatMap { tr =>
+      for (i <- 0 until tr.length; j <- i + 1 to tr.length) yield tr.edges.slice(i, j).toVector
+    }.distinct
+    val intervals = Seq(FixedInterval(0, 15), FixedInterval(5, 10), FixedInterval(0, 100), PeriodicInterval(0, 8))
+    // tr0/tr3 and tr0/tr2 share an id; id 2^50 shifted past the seq bits wraps to tr0's key.
+    for (ids <- Seq(Seq(0L, 1L, 2L, 0L), Seq(0L, 1L, 0L, 3L), Seq(0L, 1L, 2L, 1L << 50))) {
+      val ts = paperTrajs.zip(ids).map { case (tr, id) => tr.copy(id = id) }
+      val index = SNTIndex.build(paperNetwork, ts)
+      for (path <- paths; iv <- intervals; user <- Seq(None, Some(u1), Some(u2))) {
+        val naive = naiveTravelTimes(ts.toSeq, path, iv, user)
+        val want =
+          if (naive.isEmpty && path.length == 1 && !iv.isPeriodic) Seq(paperNetwork.estimateTT(path.head))
+          else naive
+        assert(sortedTT(index.getTravelTimes(Spq(path, iv, user, None, 0))) == sortedTT(want),
+               s"ids=$ids path=$path iv=$iv user=$user")
+      }
+    }
+  }
 
   test("tmin/tmax bracket all timestamps") {
     val i = SNTIndex.build(net, trajs)
@@ -276,5 +298,30 @@ class SNTIndexSpec extends AnyFunSuite {
     val long = Traj(9, u1, Array.fill(n)(A), Array.tabulate(n)(_.toLong * 10), Array.fill(n)(5.0))
     val e = intercept[IllegalArgumentException](SNTIndex.build(paperNetwork, paperTrajs :+ long))
     assert(e.getMessage.contains(s"trajectory 9 has $n segments; at most ${n - 1} are supported"))
+  }
+
+  test("build rejects an empty trajectory") {
+    val empty = Traj(9, u1, Array.empty, Array.empty, Array.empty)
+    val e = intercept[IllegalArgumentException](SNTIndex.build(paperNetwork, paperTrajs :+ empty))
+    assert(e.getMessage.contains("trajectory 9 has no segments"))
+  }
+
+  test("build rejects edges, times and travel times of different lengths") {
+    for ((times, tts) <- Seq((Array(0L), Array(3.0, 4.0)), (Array(0L, 3L), Array(3.0)))) {
+      val bad = Traj(9, u1, Array(A, B), times, tts)
+      val e = intercept[IllegalArgumentException](SNTIndex.build(paperNetwork, paperTrajs :+ bad))
+      assert(e.getMessage.contains(
+        s"trajectory 9 has 2 edges, ${times.length} entry times and ${tts.length} travel times"))
+    }
+  }
+
+  test("build rejects an edge id outside [1, numEdges]") {
+    // Edge 0 would read as the FM `$` separator; ids above numEdges have no bucket.
+    for (edge <- Seq(0, -1, paperNetwork.numEdges + 1)) {
+      val bad = Traj(9, u1, Array(A, edge), Array(0L, 3L), Array(3.0, 4.0))
+      val e = intercept[IllegalArgumentException](SNTIndex.build(paperNetwork, paperTrajs :+ bad))
+      assert(e.getMessage.contains(
+        s"trajectory 9 has edge id $edge at position 1, outside [1, ${paperNetwork.numEdges}]"))
+    }
   }
 }

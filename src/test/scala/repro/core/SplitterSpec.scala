@@ -15,7 +15,7 @@ class SplitterSpec extends AnyFunSuite {
   private def splitter(m: SplitMethod) = new Splitter(A6, m, idx)
 
   test("periodic interval below αmax is widened to the next ladder size") {
-    val q = Spq(Vector(A, B), PeriodicInterval(0, 900), None, Some(3), 0, 2)
+    val q = Spq(Vector(A, B), PeriodicInterval(0, 900), None, Some(3), 0)
     val out = splitter(SigmaR)(q)
     assert(out.length == 1)
     val iv = out.head.interval.asInstanceOf[PeriodicInterval]
@@ -25,7 +25,7 @@ class SplitterSpec extends AnyFunSuite {
   }
 
   test("widening walks the whole ladder 15→30→45→60→90→120") {
-    var q = Spq(Vector(A, B), PeriodicInterval(0, 900), None, Some(3), 0, 2)
+    var q = Spq(Vector(A, B), PeriodicInterval(0, 900), None, Some(3), 0)
     val sizes = collection.mutable.ArrayBuffer.empty[Long]
     for (_ <- 0 until 5) {
       q = splitter(SigmaR)(q).head
@@ -35,7 +35,7 @@ class SplitterSpec extends AnyFunSuite {
   }
 
   test("at αmax, σR halves the path and shrinks the interval to αmin") {
-    val q = Spq(Vector(A, C, D, E), PeriodicInterval(0, 7200), None, Some(3), 0, 4)
+    val q = Spq(Vector(A, C, D, E), PeriodicInterval(0, 7200), None, Some(3), 0)
     val out = splitter(SigmaR)(q)
     assert(out.map(_.path) == Vector(Vector(A, C), Vector(D, E)))
     assert(out.forall(_.interval.sizeSec == 900))
@@ -44,7 +44,7 @@ class SplitterSpec extends AnyFunSuite {
   }
 
   test("σR on odd-length paths takes ⌊l/2⌋") {
-    val q = Spq(Vector(A, B, E), PeriodicInterval(0, 7200), None, Some(3), 0, 3)
+    val q = Spq(Vector(A, B, E), PeriodicInterval(0, 7200), None, Some(3), 0)
     val out = splitter(SigmaR)(q)
     assert(out.map(_.path) == Vector(Vector(A), Vector(B, E)))
   }
@@ -52,13 +52,13 @@ class SplitterSpec extends AnyFunSuite {
   test("σL picks the longest prefix with ≥ β matches") {
     // With β = 2: ⟨A,B⟩ has 3 matches, ⟨A,B,E⟩ is the full path (m < l), so
     // for P=⟨A,B,E⟩ the longest allowed prefix is m=2.
-    val q = Spq(Vector(A, B, E), FixedInterval(0, idx.tmaxGlobal), None, Some(2), 0, 3)
+    val q = Spq(Vector(A, B, E), FixedInterval(0, idx.tmaxGlobal), None, Some(2), 0)
     val out = splitter(SigmaL)(q)
     assert(out.map(_.path) == Vector(Vector(A, B), Vector(E)))
   }
 
   test("σL falls back to m=1 when even the first segment misses β") {
-    val q = Spq(Vector(F, A), FixedInterval(0, idx.tmaxGlobal), None, Some(50), 0, 2)
+    val q = Spq(Vector(F, A), FixedInterval(0, idx.tmaxGlobal), None, Some(50), 0)
     val out = splitter(SigmaL)(q)
     assert(out.map(_.path) == Vector(Vector(F), Vector(A)))
   }
@@ -83,7 +83,7 @@ class SplitterSpec extends AnyFunSuite {
                 PeriodicInterval(tr.t0 - A6.last / 2, tr.t0 + A6.last / 2))
       user <- Seq(None, Some(tr.user))
       beta <- Seq(2, 20)
-    } yield Spq(tr.edges.toVector, iv, user, Some(beta), 0, tr.length)
+    } yield Spq(tr.edges.toVector, iv, user, Some(beta), 0)
     val ms = for (index <- Seq(full, SNTIndex.build(net, trajs, CssForest, Some(7))); q <- qs) yield {
       val m = wantM(q)
       val got = new Splitter(A6, SigmaL, index)(q).map(_.path.length)
@@ -94,13 +94,13 @@ class SplitterSpec extends AnyFunSuite {
   }
 
   test("fixed-interval sub-queries keep their interval when split") {
-    val q = Spq(Vector(A, C, D, E), FixedInterval(0, 15), None, Some(3), 0, 4)
+    val q = Spq(Vector(A, C, D, E), FixedInterval(0, 15), None, Some(3), 0)
     val out = splitter(SigmaR)(q)
     assert(out.forall(_.interval == FixedInterval(0, 15)))
   }
 
   test("single-segment query with a user filter drops the filter first") {
-    val q = Spq(Vector(A), PeriodicInterval(0, 7200), Some(u1), Some(3), 0, 1)
+    val q = Spq(Vector(A), PeriodicInterval(0, 7200), Some(u1), Some(3), 0)
     val out = splitter(SigmaR)(q)
     assert(out.length == 1)
     assert(out.head.user.isEmpty)
@@ -109,7 +109,7 @@ class SplitterSpec extends AnyFunSuite {
   }
 
   test("single-segment query without filters relaxes to [0, tmax) and drops β") {
-    val q = Spq(Vector(A), PeriodicInterval(0, 7200), None, Some(3), 0, 1)
+    val q = Spq(Vector(A), PeriodicInterval(0, 7200), None, Some(3), 0)
     val out = splitter(SigmaR)(q)
     assert(out.length == 1)
     assert(out.head.relaxed)
@@ -118,7 +118,7 @@ class SplitterSpec extends AnyFunSuite {
   }
 
   test("repeatedly applying σ always terminates in a relaxed single-segment query") {
-    var queue = List(Spq(Vector(A, C, D, E), PeriodicInterval(0, 900), Some(u1), Some(999), 0, 4))
+    var queue = List(Spq(Vector(A, C, D, E), PeriodicInterval(0, 900), Some(u1), Some(999), 0))
     var steps = 0
     val s = splitter(SigmaR)
     while (queue.exists(q => !q.relaxed) && steps < 200) {

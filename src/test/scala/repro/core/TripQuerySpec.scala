@@ -19,14 +19,14 @@ class TripQuerySpec extends AnyFunSuite {
     new TripQueryProcessor(idx, new Splitter(A6, m, idx), 1.0, est)
 
   test("paper §2.3: unsplit query ⟨A,B,E⟩ with β=2 gives H = {[10,11):1, [11,12):1}") {
-    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), Some(u1), Some(2), 0, 3)
+    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), Some(u1), Some(2), 0)
     val res = proc().run(q, NonePartitioner)
     assert(res.sub.length == 1)
     assert(res.histogram.counts == Map(10 -> 1.0, 11 -> 1.0))
   }
 
   test("paper §2.3: split into ⟨A,B⟩ and ⟨E⟩ convolves to {[10,11):4, [11,12):4, [12,13):1}") {
-    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(3), 0, 3)
+    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(3), 0)
     // π2 partitions ⟨A,B,E⟩ into ⟨A,B⟩ and ⟨E⟩.
     val res = proc().run(q, RegularPartitioner(2))
     assert(res.sub.map(_.x.length) == Vector(3, 3))
@@ -36,7 +36,7 @@ class TripQuerySpec extends AnyFunSuite {
   test("failing sub-query is relaxed until it succeeds") {
     // β = 3 cannot be met by ⟨A,B,E⟩ (only 2 traversals) inside [0,15);
     // with π_N the whole path is eventually split.
-    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(3), 0, 3)
+    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(3), 0)
     val res = proc().run(q, NonePartitioner)
     assert(res.sub.nonEmpty)
     // Results tile the path.
@@ -48,7 +48,7 @@ class TripQuerySpec extends AnyFunSuite {
   }
 
   test("meanEstimate is the sum of sub-query means") {
-    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(3), 0, 3)
+    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(3), 0)
     val res = proc().run(q, RegularPartitioner(2))
     val m1 = res.sub(0).x.sum / res.sub(0).x.length
     val m2 = res.sub(1).x.sum / res.sub(1).x.length
@@ -56,13 +56,13 @@ class TripQuerySpec extends AnyFunSuite {
   }
 
   test("avgSubPathLength averages the final sub-path lengths") {
-    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(3), 0, 3)
+    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(3), 0)
     val res = proc().run(q, RegularPartitioner(2))
     assert(math.abs(res.avgSubPathLength - 1.5) < 1e-9)
   }
 
   test("histograms use the processor's bucket width") {
-    val q = Spq(Vector(E), FixedInterval(0, 100), None, None, 0, 1)
+    val q = Spq(Vector(E), FixedInterval(0, 100), None, None, 0)
     val p = new TripQueryProcessor(idx, new Splitter(A6, SigmaR, idx), 10.0, None)
     val res = p.run(q, NonePartitioner)
     assert(res.histogram.h == 10.0)
@@ -71,7 +71,7 @@ class TripQuerySpec extends AnyFunSuite {
   test("estimator-gated processing skips index calls when β̂ < β") {
     // ISA-only estimate for ⟨A,B,E⟩ is 2 < β=3 → skipped without dispatch.
     val est = new CardinalityEstimator(idx, None, IsaOnly)
-    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(3), 0, 3)
+    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(3), 0)
     val res = proc(SigmaR, Some(est)).run(q, NonePartitioner)
     assert(res.estimatorSkips >= 1)
     assert(res.sub.nonEmpty)
@@ -87,7 +87,7 @@ class TripQuerySpec extends AnyFunSuite {
     for (_ <- 0 until 30) {
       val tr = trajs(rnd.nextInt(trajs.length))
       val q = Spq(tr.edges.toVector, PeriodicInterval(tr.t0 - 450, tr.t0 + 450),
-                  None, Some(10), 0, tr.length)
+                  None, Some(10), 0)
       for (pi <- Seq[Partitioner](ZonePartitioner, CategoryPartitioner, NonePartitioner,
                                   RegularPartitioner(2))) {
         val res = p.run(q, pi)
@@ -110,7 +110,7 @@ class TripQuerySpec extends AnyFunSuite {
     for (_ <- 0 until 10) {
       val tr = trajs(rnd.nextInt(trajs.length))
       val q = Spq(tr.edges.toVector, PeriodicInterval(tr.t0 - 450, tr.t0 + 450),
-                  None, Some(10), 0, tr.length)
+                  None, Some(10), 0)
       val res = p.run(q, ZonePartitioner)
       assert(res.sub.map(_.pathLen).sum == tr.length)
     }
@@ -124,13 +124,13 @@ class TripQuerySpec extends AnyFunSuite {
     val p = new TripQueryProcessor(index, new Splitter(A6, SigmaR, index), 10.0, None)
     val tr = trajs.maxBy(_.length)
     val q = Spq(tr.edges.toVector, PeriodicInterval(tr.t0 - 450, tr.t0 + 450),
-                Some(tr.user), Some(2), 0, tr.length)
+                Some(tr.user), Some(2), 0)
     val res = p.run(q, MdmPartitioner)
     assert(res.sub.map(_.pathLen).sum == tr.length)
   }
 
   test("convolution of the final histogram matches manual convolution of sub-histograms") {
-    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(3), 0, 3)
+    val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(3), 0)
     val res = proc().run(q, RegularPartitioner(2))
     val manual = Histogram.convolveAll(res.sub.map(r => Histogram.create(r.x, 1.0)))
     assert(res.histogram.counts == manual.counts)
@@ -138,7 +138,7 @@ class TripQuerySpec extends AnyFunSuite {
 
   test("run rejects an edge id outside [1, numEdges] before the FM-index sees it") {
     for (bad <- Seq(0, -1, paperNetwork.numEdges + 1)) {
-      val q = Spq(Vector(A, bad, E), FixedInterval(0, 15), None, Some(2), 0, 3)
+      val q = Spq(Vector(A, bad, E), FixedInterval(0, 15), None, Some(2), 0)
       val e = intercept[IllegalArgumentException](proc().run(q, NonePartitioner))
       assert(e.getMessage.contains(s"edge id $bad at path position 1"))
     }

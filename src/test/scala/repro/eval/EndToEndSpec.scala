@@ -18,7 +18,7 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("temporal-filter evaluation produces finite metrics and decent accuracy") {
-    val r = EvalRunner.evaluate(spark, bundle.bIndex, Some(bundle.bStore), bundle.queries,
+    val r = EvalRunner.evaluate(spark, bundle.bIndex, bundle.bStore, bundle.queries,
                                 Workload.Temporal, ZonePartitioner, SigmaR, beta = 10)
     assert(r.smape > 0 && r.smape < 60, s"sMAPE=${r.smape}")
     assert(r.weightedError > 0 && r.weightedError < 100)
@@ -28,15 +28,15 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("user-filter evaluation runs with π_MDM") {
-    val r = EvalRunner.evaluate(spark, bundle.bIndex, Some(bundle.bStore), bundle.queries,
+    val r = EvalRunner.evaluate(spark, bundle.bIndex, bundle.bStore, bundle.queries,
                                 Workload.UserQ, MdmPartitioner, SigmaR, beta = 10)
     assert(r.smape > 0 && r.smape < 60)
   }
 
   test("SPQ-only evaluation runs with π_N and yields long sub-paths") {
-    val rN = EvalRunner.evaluate(spark, bundle.bIndex, Some(bundle.bStore), bundle.queries,
+    val rN = EvalRunner.evaluate(spark, bundle.bIndex, bundle.bStore, bundle.queries,
                                  Workload.SpqOnly, NonePartitioner, SigmaR, beta = 10)
-    val r1 = EvalRunner.evaluate(spark, bundle.bIndex, Some(bundle.bStore), bundle.queries,
+    val r1 = EvalRunner.evaluate(spark, bundle.bIndex, bundle.bStore, bundle.queries,
                                  Workload.SpqOnly, RegularPartitioner(1), SigmaR, beta = 10)
     assert(rN.avgSubPathLen > r1.avgSubPathLen)
     assert(math.abs(r1.avgSubPathLen - 1.0) < 1e-9)
@@ -44,7 +44,7 @@ class EndToEndSpec extends SparkSpec {
 
   test("speed-limit reference error exceeds the trajectory-based error") {
     val (slSmape, allSmape, slW, allW) = EvalRunner.referenceNumbers(bundle.index, bundle.queries)
-    val r = EvalRunner.evaluate(spark, bundle.bIndex, Some(bundle.bStore), bundle.queries,
+    val r = EvalRunner.evaluate(spark, bundle.bIndex, bundle.bStore, bundle.queries,
                                 Workload.Temporal, ZonePartitioner, SigmaR, beta = 20)
     assert(slSmape > allSmape, s"speed-limit=$slSmape all-trajectories=$allSmape")
     assert(slSmape > r.smape, s"speed-limit=$slSmape vs indexed=${r.smape}")
@@ -52,9 +52,9 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("estimator-gated evaluation completes and reduces index calls") {
-    val base = EvalRunner.evaluate(spark, bundle.bIndex, Some(bundle.bStore), bundle.queries,
+    val base = EvalRunner.evaluate(spark, bundle.bIndex, bundle.bStore, bundle.queries,
                                    Workload.Temporal, ZonePartitioner, SigmaR, beta = 20)
-    val gated = EvalRunner.evaluate(spark, bundle.bIndex, Some(bundle.bStore), bundle.queries,
+    val gated = EvalRunner.evaluate(spark, bundle.bIndex, bundle.bStore, bundle.queries,
                                     Workload.Temporal, ZonePartitioner, SigmaR, beta = 20,
                                     estimatorMode = Some(CssAcc))
     assert(gated.avgIndexCalls <= base.avgIndexCalls + 1e-9)
@@ -64,9 +64,9 @@ class EndToEndSpec extends SparkSpec {
   test("q-errors: Acc modes estimate no worse than ISA-only") {
     val alphaMin = EvalRunner.DefaultA.head
     val qs = bundle.queries.take(15)
-    val isa = EvalRunner.qErrorOfMode(bundle.index, Some(bundle.store), IsaOnly, qs,
+    val isa = EvalRunner.qErrorOfMode(bundle.index, bundle.store, IsaOnly, qs,
                                       Workload.Temporal, alphaMin)
-    val acc = EvalRunner.qErrorOfMode(bundle.index, Some(bundle.store), CssAcc, qs,
+    val acc = EvalRunner.qErrorOfMode(bundle.index, bundle.store, CssAcc, qs,
                                       Workload.Temporal, alphaMin)
     assert(isa >= 1.0 && acc >= 1.0)
     assert(acc <= isa, s"ISA=$isa CSS-Acc=$acc")
@@ -81,7 +81,7 @@ class EndToEndSpec extends SparkSpec {
     assert(Experiments.fig11Lines(fig11).size == 3 + 5 + 30 + 25)
     // The Figs 5–9 grid reuses the bundle's broadcasts after Fig 11 in the
     // same JVM; a destroyed broadcast fails this evaluation.
-    val r = EvalRunner.evaluate(spark, bundle.bIndex, Some(bundle.bStore), bundle.queries,
+    val r = EvalRunner.evaluate(spark, bundle.bIndex, bundle.bStore, bundle.queries,
                                 Workload.Temporal, ZonePartitioner, SigmaR, beta = 10)
     assert(r.smape > 0)
   }

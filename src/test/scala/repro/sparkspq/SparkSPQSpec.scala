@@ -67,7 +67,7 @@ class SparkSPQSpec extends SparkSpec {
   test("SparkSPQ and the SNT-index agree (modulo the single-segment fallback)") {
     for ((path, anchor) <- randomQueryPaths(15, 204)) {
       val iv = FixedInterval(anchor - 50000, anchor + 50000)
-      val q = Spq(path, iv, None, None, 0, path.length)
+      val q = Spq(path, iv, None, None, 0)
       val sntRaw = index.getTravelTimes(q).toSeq
       val sdf = sparkTT(path, iv, None)
       // Procedure 5's speed-limit fallback only exists on the index side.
@@ -109,7 +109,7 @@ class SparkSPQSpec extends SparkSpec {
   test("SNT-index travel-time multiset equals the DuckDB oracle's") {
     val (path, anchor) = randomQueryPaths(30, 208).find(_._1.length >= 3).get
     val iv = FixedInterval(anchor - 80000, anchor + 80000)
-    val q = Spq(path, iv, None, None, 0, path.length)
+    val q = Spq(path, iv, None, None, 0)
     val snt = round6(index.getTravelTimes(q).toSeq).map(x => math.round(x * 1e3) / 1e3)
     import spark.implicits._
     val sntDf = snt.toDF("path_tt").groupBy("path_tt").agg(count(lit(1)).as("cnt"))
