@@ -29,7 +29,9 @@ object TemporalRecords {
   final case class Row(t: Long, isa: Int, d: Int, tt: Double, a: Double, seq: Int, w: Int)
 
   def fromRows(rows: Array[Row]): TemporalRecords = {
-    val s = rows.sortBy(_.t)
+    // Stable like `sortBy` (equal entry times keep build order), without boxing the keys.
+    val s = rows.clone()
+    java.util.Arrays.sort(s, java.util.Comparator.comparingLong[Row](_.t))
     new TemporalRecords(
       s.map(_.t), s.map(_.isa), s.map(_.d), s.map(_.tt), s.map(_.a), s.map(_.seq), s.map(_.w))
   }
