@@ -39,8 +39,7 @@ final class SNTIndex(
     val tmaxGlobal: Long,
 ) extends Serializable {
 
-  // The (d, seq) key of Procedures 3–4: d < 2^31 and seq < 2^SeqBits, so distinct pairs never share a key.
-  @inline private def key(d: Int, seq: Int): Long = (d.toLong << SNTIndex.SeqBits) | seq.toLong
+  import SNTIndex.key
 
   /** Procedure 2 across temporal partitions: one ISA range per partition. */
   def pathRanges(path: IndexedSeq[Int]): Array[(Int, Int)] = rangesMeeting(path, Long.MinValue, Long.MaxValue)
@@ -80,35 +79,81 @@ final class SNTIndex(
 
   /** Procedure 3 — scan the first edge's temporal index, keep the first β
     * records matching the temporal predicate, the ISA range of the record's
-    * partition, and the user filter; map (d, seq) → a − TT.
+    * partition, and the user filter; map (d, seq) → a − TT. A periodic
+    * interval is scanned as the one-rung ladder of `scanLadder`.
     */
   def buildMap(edge: Int, ranges: Array[(Int, Int)], interval: TimeInterval,
-               user: Option[Int], beta: Int): collection.mutable.LongMap[Double] = {
-    val m = collection.mutable.LongMap.empty[Double]
+               user: Option[Int], beta: Int,
+               work: ScanWork = new ScanWork): collection.mutable.LongMap[Double] = interval match {
+    case FixedInterval(ts, te) =>
+      val m = collection.mutable.LongMap.empty[Double]
+      val recs = records(edge)
+      if (recs == null) return m
+      val from = search(edge).lowerBound(ts)
+      var i = from
+      val n = recs.size
+      while (i < n && recs.t(i) < te && m.size < beta) {
+        if (matches(recs, i, ranges, user)) m.update(key(recs.d(i), recs.seq(i)), recs.a(i) - recs.tt(i))
+        i += 1
+      }
+      work.firstEdgeRecords += i - from
+      m
+    case p: PeriodicInterval => scanLadder(edge, ranges, Array(p), user, beta, work).map(0, beta)
+  }
+
+  /** Procedure 3 for the rungs of a widen ladder (Procedure 1): nested
+    * periodic windows, innermost first. One scan tags each record that passes
+    * the ISA-range and user tests with the innermost rung containing its
+    * entry time, so rung k's records are those tagged k or less. The scan
+    * stops once rung 0 holds `cap` records; every rung's first `cap` records
+    * then lie in the part scanned.
+    */
+  def scanLadder(edge: Int, ranges: Array[(Int, Int)], rungs: Array[PeriodicInterval],
+                 user: Option[Int], cap: Int, work: ScanWork = new ScanWork): SNTIndex.LadderScan = {
+    var k = 1
+    while (k < rungs.length) {
+      require(rungs(k).ts <= rungs(k - 1).ts && rungs(k).te >= rungs(k - 1).te,
+        s"ladder rung ${rungs(k)} does not contain rung ${rungs(k - 1)}")
+      k += 1
+    }
+    val last = rungs.length - 1
+    val inRung = new Array[Int](rungs.length) // records whose innermost rung is k
     val recs = records(edge)
-    if (recs == null) return m
-    @inline def accept(i: Int): Boolean = {
-      val (st, ed) = ranges(recs.w(i))
-      if (recs.isa(i) < st || recs.isa(i) >= ed) false
-      else user.isEmpty || users(recs.d(i)) == user.get
-    }
-    interval match {
-      case FixedInterval(ts, te) =>
-        var i = search(edge).lowerBound(ts)
-        val n = recs.size
-        while (i < n && recs.t(i) < te && m.size < beta) {
-          if (accept(i)) m.update(key(recs.d(i), recs.seq(i)), recs.a(i) - recs.tt(i))
-          i += 1
+    if (recs == null) return new SNTIndex.LadderScan(recs, Array.empty, Array.empty, 0, inRung)
+    val outer = rungs(last)
+    var pos = new Array[Int](32)              // positions of the tagged records, ascending
+    var tag = new Array[Int](32)
+    var found = 0
+    var i = 0
+    val n = recs.size
+    while (i < n && inRung(0) < cap) {
+      val t = recs.t(i)
+      if (outer.contains(t) && matches(recs, i, ranges, user)) {
+        k = 0
+        while (k < last && !rungs(k).contains(t)) k += 1
+        if (found == pos.length) {
+          pos = java.util.Arrays.copyOf(pos, 2 * found)
+          tag = java.util.Arrays.copyOf(tag, 2 * found)
         }
-      case p: PeriodicInterval =>
-        var i = 0
-        val n = recs.size
-        while (i < n && m.size < beta) {
-          if (p.contains(recs.t(i)) && accept(i)) m.update(key(recs.d(i), recs.seq(i)), recs.a(i) - recs.tt(i))
-          i += 1
-        }
+        pos(found) = i
+        tag(found) = k
+        found += 1
+        inRung(k) += 1
+      }
+      i += 1
     }
-    m
+    work.firstEdgeRecords += i
+    new SNTIndex.LadderScan(recs, pos, tag, found, inRung)
+  }
+
+  /** Procedure 3's non-temporal tests: the record lies in its partition's
+    * ISA range of the path, and its trajectory passes the user filter.
+    */
+  @inline private def matches(recs: TemporalRecords, i: Int, ranges: Array[(Int, Int)],
+                              user: Option[Int]): Boolean = {
+    val (st, ed) = ranges(recs.w(i))
+    if (recs.isa(i) < st || recs.isa(i) >= ed) false
+    else user.isEmpty || users(recs.d(i)) == user.get
   }
 
   /** Procedure 4 — scan the last edge's temporal index; every record whose
@@ -153,14 +198,14 @@ final class SNTIndex(
     * β meaningful for the SPQ-Only workload (Figs 5c/7c sweep β there) —
     * see DESIGN.md.
     */
-  def getTravelTimes(q: Spq): Array[Double] = {
+  def getTravelTimes(q: Spq, work: ScanWork = new ScanWork): Array[Double] = {
     val ranges = pathRanges(q.path, q.interval)
     if (ranges.forall { case (st, ed) => st >= ed }) {
       return if (q.length == 1 && !q.interval.isPeriodic) Array(net.estimateTT(q.path(0)))
              else Array.empty
     }
     val cap = q.beta.getOrElse(Int.MaxValue)
-    val m = buildMap(q.path.head, ranges, q.interval, q.user, cap)
+    val m = buildMap(q.path.head, ranges, q.interval, q.user, cap, work)
     if (!q.relaxed && q.beta.exists(b => m.size < b)) return Array.empty
     val x = probeMap(q.path.last, q.length, m)
     if (x.isEmpty && q.length == 1 && !q.interval.isPeriodic) Array(net.estimateTT(q.path(0)))
@@ -189,7 +234,46 @@ final class SNTIndex(
   }
 }
 
+/** Work counts of the index's scans, summed over the calls it is given to. */
+final class ScanWork {
+  /** Records examined by first-edge scans (Procedure 3). */
+  var firstEdgeRecords: Long = 0L
+}
+
 object SNTIndex {
+
+  /** The records a ladder scan tagged, in position order, with their
+    * innermost rung; `inRung(k)` counts those tagged k.
+    */
+  final class LadderScan(recs: TemporalRecords, pos: Array[Int], tag: Array[Int], found: Int,
+                         inRung: Array[Int]) {
+    /** Records of rung k (tagged k or less) in the part scanned. */
+    def held(k: Int): Int = {
+      var s = 0
+      var j = 0
+      while (j <= k) { s += inRung(j); j += 1 }
+      s
+    }
+
+    /** Rung k's map M of Procedure 3: its first `cap` records in position
+      * order, (d, seq) → a − TT — the map a scan of rung k alone keeps.
+      */
+    def map(k: Int, cap: Int): collection.mutable.LongMap[Double] = {
+      val m = collection.mutable.LongMap.empty[Double]
+      var j = 0
+      while (j < found && m.size < cap) {
+        if (tag(j) <= k) {
+          val p = pos(j)
+          m.update(key(recs.d(p), recs.seq(p)), recs.a(p) - recs.tt(p))
+        }
+        j += 1
+      }
+      m
+    }
+  }
+
+  // The (d, seq) key of Procedures 3–4: d < 2^31 and seq < 2^SeqBits, so distinct pairs never share a key.
+  @inline private def key(d: Int, seq: Int): Long = (d.toLong << SeqBits) | seq.toLong
 
   /** Bits of the segment position `seq` in the (d, seq) keys of Procedures 3–4.
     * Routes are a few hundred segments; `build` rejects longer trajectories

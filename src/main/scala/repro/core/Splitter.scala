@@ -23,8 +23,7 @@ final class Splitter(val A: Vector[Long], val method: SplitMethod, index: SNTInd
 
   def apply(q: Spq): Vector[Spq] = q.interval match {
     case p: PeriodicInterval if p.sizeSec < A.last =>
-      val next = A.find(_ > p.sizeSec).getOrElse(A.last)
-      Vector(q.copy(interval = p.widen(next)))
+      Vector(q.copy(interval = widen(p)))
     case iv =>
       if (q.length > 1) {
         val m0 = method match {
@@ -47,6 +46,24 @@ final class Splitter(val A: Vector[Long], val method: SplitMethod, index: SNTInd
                       user = None, beta = None, relaxed = true))
       }
   }
+
+  /** The widen ladder that `apply` walks from `p`: p itself, then each
+    * widening while the window is below αmax = A.last. Rungs are nested
+    * windows, since `widen` grows both ends.
+    */
+  def ladder(p: PeriodicInterval): Vector[PeriodicInterval] = {
+    val rungs = Vector.newBuilder[PeriodicInterval]
+    var r = p
+    rungs += r
+    while (r.sizeSec < A.last) {
+      r = widen(r)
+      rungs += r
+    }
+    rungs.result()
+  }
+
+  /** One widening step: the next size of A above the window's. */
+  private def widen(p: PeriodicInterval): PeriodicInterval = p.widen(A.find(_ > p.sizeSec).get)
 
   /** σ_L's m: the largest prefix length with ≥ β matching trajectories under
     * the current predicates; falls back to 1 when even the single-segment

@@ -251,6 +251,69 @@ class SNTIndexSpec extends AnyFunSuite {
     assert(skipped > 0)
   }
 
+  // ---- the widen ladder in one first-edge scan ---------------------------
+
+  test("scanLadder gives each rung the count and map of buildMap run rung by rung (TestScale)") {
+    val s = repro.eval.Experiments.TestScale
+    val tNet = NetworkGen.generate(s.gridW, s.gridH, s.seed)
+    val tTrajs = TrajectoryGen.collectTrajs(
+      tNet, TrajectoryGen.Config(s.numTraj, s.numDrivers, s.numRoutes, s.days, s.seed))
+    val indexes = Seq(None, Some(1), Some(7)).map(d => SNTIndex.build(tNet, tTrajs, CssForest, d))
+    val splitter = new Splitter(Vector(15L, 30L, 45L, 60L, 90L, 120L).map(_ * 60L), SigmaR, indexes.head)
+    val rnd = new Random(109)
+    val paths = Seq.fill(40) {
+      val tr = tTrajs(rnd.nextInt(tTrajs.length))
+      val lo = rnd.nextInt(tr.length)
+      (tr.edges.slice(lo, math.min(tr.length, lo + 1 + rnd.nextInt(3))).toVector, tr.times(lo), tr.user)
+    }
+    val accepted = collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+    for {
+      index <- indexes
+      (path, t, u) <- paths
+      ranges = index.pathRanges(path)
+      base <- Seq(PeriodicInterval(t - 450, t + 450), // around the trip's entry
+                  PeriodicInterval(-450, 450),         // wraps midnight
+                  PeriodicInterval(t - 600, t + 600))  // 20 min, off the ladder sizes
+      (sumMin, sumRange) <- Seq((0.0, 0.0), (1234.4, 567.6), (300.0, 80000.0)) // the last reaches 1 day
+      all = splitter.ladder(base).map(_.shiftAndEnlarge(sumMin, sumRange)).toArray
+      rungs <- Seq(all, all.drop(2), all.indices.collect { case k if k % 2 == 1 => all(k) }.toArray)
+      user <- Seq(None, Some(u))
+      beta <- Seq(None, Some(1), Some(3), Some(20))
+    } {
+      val cap = beta.getOrElse(Int.MaxValue)
+      val clue = s"W=${index.partitions.length} path=$path rungs=${rungs.toSeq} user=$user beta=$beta"
+      val work = new ScanWork
+      val scan = index.scanLadder(path.head, ranges, rungs, user, cap, work)
+      for (k <- rungs.indices) {
+        val alone = index.buildMap(path.head, ranges, rungs(k), user, cap)
+        assert(math.min(scan.held(k), cap) == alone.size, s"$clue k=$k")
+        assert(scan.map(k, cap) == alone, s"$clue k=$k")
+      }
+      // The ladder examines exactly the records the scan of its first rung examines.
+      val first = new ScanWork
+      index.buildMap(path.head, ranges, rungs(0), user, cap, first)
+      assert(work.firstEdgeRecords == first.firstEdgeRecords, clue)
+      val need = beta.getOrElse(1)
+      val rung = rungs.indices.find(scan.held(_) >= need)
+      accepted(rung match {
+        case None => "none"
+        case Some(0) => "first"
+        case Some(k) if k == rungs.length - 1 => "last"
+        case _ => "middle"
+      }) += 1
+      if (rungs.last.sizeSec >= TimeInterval.DaySec) accepted("day") += 1
+    }
+    info(accepted.toSeq.sorted.mkString(", "))
+    for (kind <- Seq("none", "first", "middle", "last", "day")) assert(accepted(kind) > 50, kind)
+  }
+
+  test("scanLadder rejects rungs that are not nested") {
+    val e = intercept[IllegalArgumentException](
+      idx.scanLadder(A, idx.pathRanges(Vector(A)), Array(PeriodicInterval(0, 900), PeriodicInterval(60, 1800)),
+                     None, 1))
+    assert(e.getMessage.contains("does not contain"))
+  }
+
   test("memC grows linearly with the number of partitions") {
     val full = SNTIndex.build(net, trajs, CssForest, None)
     val part = SNTIndex.build(net, trajs, CssForest, Some(7))

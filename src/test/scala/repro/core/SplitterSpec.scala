@@ -34,6 +34,28 @@ class SplitterSpec extends AnyFunSuite {
     assert(sizes.toSeq == Seq(1800L, 2700L, 3600L, 5400L, 7200L))
   }
 
+  test("ladder lists the windows apply widens through, on and off the sizes of A") {
+    for (minutes <- Seq(15L, 20L, 120L, 150L); ts <- Seq(-450L, 0L, 86000L)) {
+      val base = PeriodicInterval(ts, ts + minutes * 60)
+      var q = Spq(Vector(A, B), base, Some(u1), Some(3), 2)
+      val walked = Vector.newBuilder[PeriodicInterval]
+      walked += base
+      var next = splitter(SigmaR)(q)
+      while (next.length == 1 && next.head.path == q.path && next.head.user == q.user &&
+             next.head.interval != q.interval) {
+        q = next.head
+        walked += q.interval.asInstanceOf[PeriodicInterval]
+        next = splitter(SigmaR)(q)
+      }
+      val ladder = splitter(SigmaR).ladder(base)
+      assert(ladder == walked.result(), s"base $base")
+      assert(ladder.last.sizeSec == math.max(minutes * 60, A6.last), s"base $base")
+    }
+    assert(splitter(SigmaR).ladder(PeriodicInterval(0, 1200)).map(_.sizeSec) ==
+      Vector(1200L, 1800L, 2700L, 3600L, 5400L, 7200L))
+    assert(splitter(SigmaR).ladder(PeriodicInterval(0, 9000)).map(_.sizeSec) == Vector(9000L))
+  }
+
   test("at αmax, σR halves the path and shrinks the interval to αmin") {
     val q = Spq(Vector(A, C, D, E), PeriodicInterval(0, 7200), None, Some(3), 0)
     val out = splitter(SigmaR)(q)

@@ -210,6 +210,50 @@ class TripQuerySpec extends AnyFunSuite {
     assert(exactRuns * 2 > runs)
   }
 
+  test("run matches the reference Procedure 6 with the CSS-Fast and BT-Fast estimators (TestScale)") {
+    val s = Experiments.TestScale
+    val net = NetworkGen.generate(s.gridW, s.gridH, s.seed)
+    val trajs = TrajectoryGen.collectTrajs(
+      net, TrajectoryGen.Config(s.numTraj, s.numDrivers, s.numRoutes, s.days, s.seed))
+    val index = SNTIndex.build(net, trajs, CssForest, None)
+    val sample = Workload.sampleQueries(trajs, s.numQueries, s.seed + 3)
+    val alphaMin = A6.head
+    var runs = 0
+    var skips = 0
+    var calls = 0
+    for {
+      mode <- Seq(CssFast, BtFast)
+      est = new CardinalityEstimator(index, None, mode)
+      qt <- Seq(Workload.Temporal, Workload.UserQ)
+      beta <- Seq(3, 20) // β = 3 puts many estimates next to it, so shift-and-enlarge decides skips
+      base = sample.toSeq.map(tr => Workload.baseSpq(tr, qt, alphaMin, beta))
+      q <- base ++ base.take(10).map(_.copy(interval = PeriodicInterval(-alphaMin / 2, alphaMin / 2)))
+      pi <- Seq[Partitioner](ZonePartitioner, RegularPartitioner(1))
+      sigma <- Seq(SigmaR, SigmaL)
+    } {
+      val p = new TripQueryProcessor(index, new Splitter(A6, sigma, index), 10.0, Some(est))
+      val clue = s"${mode.name} ${qt.name} β=$beta ${pi.name} ${sigma.name} $q"
+      val got = p.run(q, pi)
+      val want = new ReferenceTripQuery(p).run(q, pi)
+      assert(got.sub.length == want.sub.length, clue)
+      for ((g, w) <- got.sub.zip(want.sub)) {
+        assert(g.startIdx == w.startIdx && g.endIdx == w.endIdx && g.relaxed == w.relaxed, clue)
+        assert(java.util.Arrays.equals(g.x, w.x), clue)
+      }
+      assert(got.indexCalls == want.indexCalls, clue)
+      assert(got.estimatorSkips == want.estimatorSkips, clue)
+      assert(got.histogram.counts.keySet == want.histogram.counts.keySet, clue)
+      for ((b, c) <- want.histogram.counts)
+        assert(math.abs(got.histogram.counts(b) - c) <= 1e-13 * c, clue)
+      runs += 1
+      skips += got.estimatorSkips
+      calls += got.indexCalls
+    }
+    assert(runs == 2 * 2 * 2 * 50 * 2 * 2)
+    info(s"$runs runs, $skips estimator skips, $calls index calls")
+    assert(skips > runs && calls > runs)
+  }
+
   test("SubResult requires a non-empty sample and stores its statistics") {
     val e = intercept[IllegalArgumentException](SubResult(2, 4, Array.empty, relaxed = false))
     assert(e.getMessage.contains("empty travel-time sample for sub-path [2, 4)"))
