@@ -21,8 +21,11 @@ case object CssAcc  extends EstimatorMode { val name = "CSS-Acc" }
 final class CardinalityEstimator(index: SNTIndex, store: Option[HistogramStore],
                                  val mode: EstimatorMode) extends Serializable {
 
-  def estimate(q: Spq): Double = {
-    val cP = index.countPath(q.path).toDouble
+  def estimate(q: Spq): Double = estimate(q, index.countPath(q.path))
+
+  /** β̂ of `q` given its path's c_P, which does not depend on the window. */
+  def estimate(q: Spq, pathCount: Long): Double = {
+    val cP = pathCount.toDouble
     if (mode == IsaOnly) return cP
     val e0 = q.path.head
 
@@ -30,10 +33,10 @@ final class CardinalityEstimator(index: SNTIndex, store: Option[HistogramStore],
       case p: PeriodicInterval =>
         mode match {
           case BtFast | CssFast => math.min(1.0, p.sizeSec.toDouble / TimeInterval.DaySec) // Eq. 1
-          case _ => // Eq. 2
+          case _ => // Eq. 2; a window of a day or more holds every time of day, as in Eq. 1
             store match {
-              case Some(s) => s.todSelectivity(e0, p.ts, p.te)
-              case None    => math.min(1.0, p.sizeSec.toDouble / TimeInterval.DaySec)
+              case Some(s) if p.sizeSec < TimeInterval.DaySec => s.todSelectivity(e0, p.ts, p.te)
+              case _ => math.min(1.0, p.sizeSec.toDouble / TimeInterval.DaySec)
             }
         }
       case _ => 1.0

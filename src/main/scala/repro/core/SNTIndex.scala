@@ -20,9 +20,9 @@ case object BtForest extends TreeType
   * position in the array `build` was given — to its user id for the filter
   * predicate f.
   *
-  * `getTravelTimes` is Procedure 5 built from Procedure 2 (backward search),
-  * Procedure 3 (buildMap over the first edge) and Procedure 4 (probeMap over
-  * the last edge).
+  * `answerLadder` is Procedure 5 built from Procedure 2 (backward search),
+  * Procedure 3 (`scanLadder` over the first edge) and Procedure 4 (probeMap
+  * over the last edge).
   *
   * `firstEntry(w)` / `lastEntry(w)` bound the leaf entry times of partition w,
   * so a fixed-interval query can skip the partitions it cannot match.
@@ -79,41 +79,31 @@ final class SNTIndex(
 
   /** Procedure 3 — scan the first edge's temporal index, keep the first β
     * records matching the temporal predicate, the ISA range of the record's
-    * partition, and the user filter; map (d, seq) → a − TT. A periodic
-    * interval is scanned as the one-rung ladder of `scanLadder`.
+    * partition, and the user filter; map (d, seq) → a − TT. The one-rung
+    * ladder of `scanLadder`.
     */
   def buildMap(edge: Int, ranges: Array[(Int, Int)], interval: TimeInterval,
                user: Option[Int], beta: Int,
-               work: ScanWork = new ScanWork): collection.mutable.LongMap[Double] = interval match {
-    case FixedInterval(ts, te) =>
-      val m = collection.mutable.LongMap.empty[Double]
-      val recs = records(edge)
-      if (recs == null) return m
-      val from = search(edge).lowerBound(ts)
-      var i = from
-      val n = recs.size
-      while (i < n && recs.t(i) < te && m.size < beta) {
-        if (matches(recs, i, ranges, user)) m.update(key(recs.d(i), recs.seq(i)), recs.a(i) - recs.tt(i))
-        i += 1
-      }
-      work.firstEdgeRecords += i - from
-      m
-    case p: PeriodicInterval => scanLadder(edge, ranges, Array(p), user, beta, work).map(0, beta)
-  }
+               work: ScanWork = new ScanWork): collection.mutable.LongMap[Double] =
+    scanLadder(edge, ranges, Array(interval), user, beta, work).map(0, beta)
 
-  /** Procedure 3 for the rungs of a widen ladder (Procedure 1): nested
-    * periodic windows, innermost first. One scan tags each record that passes
-    * the ISA-range and user tests with the innermost rung containing its
-    * entry time, so rung k's records are those tagged k or less. The scan
-    * stops once rung 0 holds `cap` records; every rung's first `cap` records
-    * then lie in the part scanned.
+  /** Procedure 3 for the rungs of a ladder (Procedure 1): nested windows of
+    * one kind, innermost first. One scan tags each record that passes the
+    * ISA-range and user tests with the innermost rung containing its entry
+    * time, so rung k's records are those tagged k or less. The scan covers
+    * the outermost rung — the positions [lowerBound(ts), lowerBound(te)) of
+    * a fixed window, every position for a periodic one — and stops once
+    * rung 0 holds `cap` records; every rung's first `cap` records then lie
+    * in the part scanned.
     */
-  def scanLadder(edge: Int, ranges: Array[(Int, Int)], rungs: Array[PeriodicInterval],
+  def scanLadder(edge: Int, ranges: Array[(Int, Int)], rungs: Array[_ <: TimeInterval],
                  user: Option[Int], cap: Int, work: ScanWork = new ScanWork): SNTIndex.LadderScan = {
     var k = 1
     while (k < rungs.length) {
-      require(rungs(k).ts <= rungs(k - 1).ts && rungs(k).te >= rungs(k - 1).te,
-        s"ladder rung ${rungs(k)} does not contain rung ${rungs(k - 1)}")
+      val inner = rungs(k - 1)
+      val r = rungs(k)
+      require(r.isPeriodic == inner.isPeriodic && r.ts <= inner.ts && r.te >= inner.te,
+        s"ladder rung $r does not contain rung $inner")
       k += 1
     }
     val last = rungs.length - 1
@@ -121,12 +111,13 @@ final class SNTIndex(
     val recs = records(edge)
     if (recs == null) return new SNTIndex.LadderScan(recs, Array.empty, Array.empty, 0, inRung)
     val outer = rungs(last)
+    val from = if (outer.isPeriodic) 0 else search(edge).lowerBound(outer.ts)
+    val to = if (outer.isPeriodic) recs.size else search(edge).lowerBound(outer.te)
     var pos = new Array[Int](32)              // positions of the tagged records, ascending
     var tag = new Array[Int](32)
     var found = 0
-    var i = 0
-    val n = recs.size
-    while (i < n && inRung(0) < cap) {
+    var i = from
+    while (i < to && inRung(0) < cap) {
       val t = recs.t(i)
       if (outer.contains(t) && matches(recs, i, ranges, user)) {
         k = 0
@@ -142,7 +133,7 @@ final class SNTIndex(
       }
       i += 1
     }
-    work.firstEdgeRecords += i
+    work.firstEdgeRecords += i - from
     new SNTIndex.LadderScan(recs, pos, tag, found, inRung)
   }
 
@@ -178,38 +169,70 @@ final class SNTIndex(
     out.result()
   }
 
+  /** Rejects a path holding an edge id outside [1, numEdges]: id 0 is the
+    * FM `$` separator, and the FM-index has no symbol for the others.
+    */
+  def requireEdges(path: IndexedSeq[Int]): Unit = {
+    val bad = path.indexWhere(e => e < 1 || e > net.numEdges)
+    require(bad < 0, s"edge id ${path(bad)} at path position $bad is outside [1, ${net.numEdges}]")
+  }
+
   /** Count path matches under the predicates, stopping at `cap` — used by the
     * σ_L longest-prefix search and by tests.
     */
   def matchCountCapped(path: IndexedSeq[Int], interval: TimeInterval,
                        user: Option[Int], cap: Int): Int = {
+    requireEdges(path)
     val ranges = pathRanges(path, interval)
     if (ranges.forall { case (st, ed) => st >= ed }) 0
-    else buildMap(path.head, ranges, interval, user, cap).size
+    else scanLadder(path.head, ranges, Array(interval), user, cap).held(0)
   }
 
+  /** Procedure 5 for the one window of `q`. */
+  def getTravelTimes(q: Spq, work: ScanWork = new ScanWork): Array[Double] =
+    answerLadder(q, Array(q.interval), work)._2
+
   /** Procedure 5 — travel times of all (≤ β) trajectories matching
-    * spq(P, I, f, β).
+    * spq(P, I, f, β), for each window I of a ladder: nested windows,
+    * innermost first, that stand in for `q`'s own interval. Procedure 1
+    * widens a periodic sub-query through such a ladder; a fixed window is
+    * its own one rung. One FM search over the outermost rung and one
+    * first-edge scan serve every rung. Returns the first rung whose map M
+    * passes the β gate, and its X, or else the speed-limit fallback below;
+    * (−1, empty) when neither applies.
     *
     * The β gate: the paper checks `|M| < β ∧ isPeriodic(I)` and processes
     * fixed-interval queries "provided by Procedure 1" regardless of β. We
     * gate every non-relaxed query on β (periodic or fixed) and exempt only
     * the Procedure-1 fallback (`relaxed`), which both terminates and makes
     * β meaningful for the SPQ-Only workload (Figs 5c/7c sweep β there) —
-    * see DESIGN.md.
+    * see DESIGN.md. A query that is exempt, or sets no β, needs a
+    * non-empty M.
     */
-  def getTravelTimes(q: Spq, work: ScanWork = new ScanWork): Array[Double] = {
-    val ranges = pathRanges(q.path, q.interval)
-    if (ranges.forall { case (st, ed) => st >= ed }) {
-      return if (q.length == 1 && !q.interval.isPeriodic) Array(net.estimateTT(q.path(0)))
-             else Array.empty
+  def answerLadder(q: Spq, rungs: Array[_ <: TimeInterval],
+                   work: ScanWork = new ScanWork): (Int, Array[Double]) = {
+    requireEdges(q.path)
+    val outer = rungs(rungs.length - 1)
+    val ranges = pathRanges(q.path, outer)
+    val occurs = ranges.exists { case (st, ed) => st < ed }
+    val gated = !q.relaxed && q.beta.nonEmpty
+    if (occurs) {
+      val need = if (gated) q.beta.get else 1
+      val cap = q.beta.getOrElse(Int.MaxValue)
+      val scan = scanLadder(q.path.head, ranges, rungs, q.user, cap, work)
+      var k = 0
+      while (k < rungs.length) {
+        // Each record of M starts an occurrence of the path, so X is non-empty.
+        if (scan.held(k) >= need) return (k, probeMap(q.path.last, q.length, scan.map(k, cap)))
+        k += 1
+      }
     }
-    val cap = q.beta.getOrElse(Int.MaxValue)
-    val m = buildMap(q.path.head, ranges, q.interval, q.user, cap, work)
-    if (!q.relaxed && q.beta.exists(b => m.size < b)) return Array.empty
-    val x = probeMap(q.path.last, q.length, m)
-    if (x.isEmpty && q.length == 1 && !q.interval.isPeriodic) Array(net.estimateTT(q.path(0)))
-    else x
+    // Procedure 5 line 12: a single fixed-interval segment that the index
+    // leaves without a sample gets its speed-limit estimate — under the
+    // β gate only when the segment does not occur at all.
+    if (q.length == 1 && !outer.isPeriodic && (!occurs || !gated))
+      (rungs.length - 1, Array(net.estimateTT(q.path(0))))
+    else (-1, Array.empty[Double])
   }
 
   // ---- memory accounting (Fig 10a components) ---------------------------

@@ -62,6 +62,15 @@ final class Splitter(val A: Vector[Long], val method: SplitMethod, index: SNTInd
     rungs.result()
   }
 
+  /** The windows Procedure 1 tries before it splits the path: a periodic
+    * window's widen ladder; a fixed window is never widened, so it is its
+    * own one rung.
+    */
+  def ladder(iv: TimeInterval): Vector[TimeInterval] = iv match {
+    case p: PeriodicInterval => ladder(p)
+    case f => Vector(f)
+  }
+
   /** One widening step: the next size of A above the window's. */
   private def widen(p: PeriodicInterval): PeriodicInterval = p.widen(A.find(_ > p.sizeSec).get)
 

@@ -5,7 +5,9 @@ package repro.core
   * [ts, te)^R that recurs every 24 hours.
   */
 sealed trait TimeInterval extends Serializable {
-  def sizeSec: Long
+  def ts: Long
+  def te: Long
+  def sizeSec: Long = te - ts
   def contains(t: Long): Boolean
   def isPeriodic: Boolean
 }
@@ -15,7 +17,6 @@ object TimeInterval {
 }
 
 final case class FixedInterval(ts: Long, te: Long) extends TimeInterval {
-  def sizeSec: Long = te - ts
   def contains(t: Long): Boolean = t >= ts && t < te
   def isPeriodic: Boolean = false
 }
@@ -24,7 +25,6 @@ final case class FixedInterval(ts: Long, te: Long) extends TimeInterval {
   * ≥ 86400 after widening/shifting — containment is computed mod 24 h).
   */
 final case class PeriodicInterval(ts: Long, te: Long) extends TimeInterval {
-  def sizeSec: Long = te - ts
   def contains(t: Long): Boolean = {
     val size = te - ts
     if (size >= TimeInterval.DaySec) true

@@ -28,8 +28,8 @@ final case class SubResult(startIdx: Int, endIdx: Int, x: Array[Double], relaxed
 final case class TripResult(
     sub: Vector[SubResult],
     histogram: Histogram,
-    indexCalls: Int,      // getTravelTimes invocations actually dispatched
-    estimatorSkips: Int,  // sub-queries relaxed on the estimate alone
+    indexCalls: Int,      // ladder rungs sent to the index, up to the accepted one
+    estimatorSkips: Int,  // ladder rungs passed over on the estimate alone
     firstEdgeRecords: Long = 0L, // records examined by first-edge scans (Procedure 3)
 ) {
   /** Σ X̄_j — the point estimate compared against the trajectory's true time. */
@@ -43,7 +43,8 @@ final case class TripResult(
   * Procedure 1 (σ), and convolve the per-sub-query histograms.
   *
   * When a cardinality estimator is supplied, a sub-query whose estimate β̂
-  * falls below β is relaxed without touching the temporal indexes (§4.4).
+  * falls below β is relaxed without touching the temporal indexes (§4.4):
+  * its rung counts as an estimator skip and cannot be accepted.
   */
 final class TripQueryProcessor(
     val index: SNTIndex,
@@ -53,8 +54,7 @@ final class TripQueryProcessor(
 ) extends Serializable {
 
   def run(q: Spq, pi: Partitioner): TripResult = {
-    val bad = q.path.indexWhere(e => e < 1 || e > index.net.numEdges)
-    require(bad < 0, s"edge id ${q.path(bad)} at path position $bad is outside [1, ${index.net.numEdges}]")
+    index.requireEdges(q.path)
     var queue: List[Spq] = pi(q, index.net).sortBy(_.startIdx).toList
     val done = collection.mutable.ArrayBuffer.empty[SubResult]
     // S and R of shift-and-enlarge: sums of the minima and ranges of every
@@ -70,33 +70,33 @@ final class TripQueryProcessor(
     while (queue.nonEmpty && guard < maxSteps) {
       val qi = queue.head
       val rest = queue.tail
-      var r: SubResult = null // the accepted sub-result, if any
-      var failed = qi         // else the query Procedure 1 relaxes
-      qi.interval match {
-        case p: PeriodicInterval =>
-          val l = widenLadder(qi, p, sumMin, sumRange, maxSteps - guard, work)
-          guard += l.steps
-          calls += l.calls
-          skips += l.steps - l.calls
-          r = l.accepted
-          failed = l.last
-        case _ => // a fixed interval: no shift-and-enlarge, no ladder
-          guard += 1
-          if (estimator.exists(est => !qi.relaxed && qi.beta.exists(b => est.estimate(qi) < b))) {
-            skips += 1
-          } else {
-            calls += 1
-            val x = index.getTravelTimes(qi, work)
-            if (x.nonEmpty) r = SubResult(qi.startIdx, qi.endIdx, x, qi.relaxed)
-          }
-      }
-      if (r != null) {
+      // Every sub-query is a ladder, one dispatch step per rung. Periodic
+      // rungs are shift-and-enlarged at dispatch (Procedure 6 lines 3–5),
+      // relative to the unshifted rung so relaxations don't double-shift. No
+      // sub-result is accepted between rungs, so S and R stay fixed and the
+      // shifted rungs stay nested.
+      val ladder = splitter.ladder(qi.interval).take(maxSteps - guard)
+      val rungs = ladder.map {
+        case p: PeriodicInterval if qi.startIdx > 0 => p.shiftAndEnlarge(sumMin, sumRange)
+        case r => r
+      }.toArray
+      val sent = dispatched(qi, rungs)
+      val (hit, x) = if (sent.isEmpty) (-1, null) else index.answerLadder(qi, sent.map(rungs), work)
+      // The rungs up to the accepted one, or all of them, each took a step:
+      // an index call if sent, an estimator skip if not.
+      val steps = if (hit >= 0) sent(hit) + 1 else rungs.length
+      val ladderCalls = if (hit >= 0) hit + 1 else sent.length
+      guard += steps
+      calls += ladderCalls
+      skips += steps - ladderCalls
+      if (hit >= 0) {
+        val r = SubResult(qi.startIdx, qi.endIdx, x, qi.relaxed)
         done += r
         sumMin += r.min
         sumRange += r.max - r.min
         queue = rest
       } else {
-        queue = splitter(failed) ++: rest
+        queue = splitter(qi.copy(interval = ladder.last)) ++: rest
       }
     }
     require(queue.isEmpty, s"tripQuery did not terminate within $maxSteps steps")
@@ -105,60 +105,14 @@ final class TripQueryProcessor(
     TripResult(sorted, hist, calls, skips, work.firstEdgeRecords)
   }
 
-  /** Procedure 1's widen ladder from a periodic sub-query, evaluated as one
-    * unit: the rungs `splitter.ladder(base)`, each shift-and-enlarged at
-    * dispatch (Procedure 6 lines 3–5), relative to the unshifted rung so
-    * relaxations don't double-shift. No sub-result is accepted between
-    * rungs, so S and R stay fixed and the effective rungs stay nested. One
-    * FM search and one first-edge scan from the innermost dispatched rung
-    * then serve every rung. The rungs are walked in order as the rung-by-rung
-    * loop dispatches them: each is one dispatch step, an estimator skip when
-    * its estimate is below β and an index call otherwise, until a dispatched
-    * rung holds β records (one when β is unset).
-    *
-    * @param maxRungs dispatch steps left before the safety net
+  /** The rungs sent to the index, by position: every rung, except that with
+    * an estimator a non-relaxed sub-query skips each rung whose estimate β̂
+    * falls below β. c_P does not depend on the window, so it is counted once.
     */
-  private def widenLadder(qi: Spq, base: PeriodicInterval, sumMin: Double, sumRange: Double,
-                          maxRungs: Int, work: ScanWork): TripQueryProcessor.Ladder = {
-    val rungs = splitter.ladder(base).take(maxRungs)
-    val effective = rungs.map(r => if (qi.startIdx > 0) r.shiftAndEnlarge(sumMin, sumRange) else r)
-    def skipped(k: Int): Boolean =
-      estimator.exists(est => !qi.relaxed && qi.beta.exists(b => est.estimate(qi.copy(interval = effective(k))) < b))
-    // Procedure 5's β gate; a relaxed query only needs a non-empty M.
-    val need = if (qi.relaxed) 1 else qi.beta.getOrElse(1)
-    val cap = qi.beta.getOrElse(Int.MaxValue)
-    var k = 0
-    while (k < rungs.length && skipped(k)) k += 1
-    val first = k
-    var calls = 0
-    var scan: SNTIndex.LadderScan = null
-    var hit = -1
-    if (first < rungs.length) {
-      val ranges = index.pathRanges(qi.path)
-      if (ranges.exists { case (st, ed) => st < ed })
-        scan = index.scanLadder(qi.path.head, ranges, effective.drop(first).toArray, qi.user, cap, work)
-      while (k < rungs.length && hit < 0) {
-        if (k == first || !skipped(k)) {
-          calls += 1
-          if (scan != null && scan.held(k - first) >= need) hit = k
-        }
-        k += 1
-      }
-    }
-    if (hit >= 0) {
-      // Each record of M starts an occurrence of the path, so X is non-empty.
-      val x = index.probeMap(qi.path.last, qi.length, scan.map(hit - first, cap))
-      new TripQueryProcessor.Ladder(hit + 1, calls, SubResult(qi.startIdx, qi.endIdx, x, qi.relaxed), qi)
-    } else {
-      new TripQueryProcessor.Ladder(rungs.length, calls, null, qi.copy(interval = rungs.last))
-    }
+  private def dispatched(qi: Spq, rungs: Array[TimeInterval]): Array[Int] = (estimator, qi.beta) match {
+    case (Some(est), Some(b)) if !qi.relaxed =>
+      val cP = index.countPath(qi.path)
+      rungs.indices.filterNot(k => est.estimate(qi.copy(interval = rungs(k)), cP) < b).toArray
+    case _ => rungs.indices.toArray
   }
-}
-
-object TripQueryProcessor {
-  /** What one widen ladder did: dispatch steps taken, index calls among them,
-    * and the accepted sub-result, or null and the last rung's query, which
-    * Procedure 1 relaxes next.
-    */
-  private final class Ladder(val steps: Int, val calls: Int, val accepted: SubResult, val last: Spq)
 }

@@ -44,6 +44,17 @@ class CardinalityEstimatorSpec extends AnyFunSuite {
     assert(new CardinalityEstimator(idx, Some(store), CssAcc).estimate(q2) == 0.0)
   }
 
+  test("Acc modes read a window of a day or more as every time of day, as Fast modes do") {
+    // Shift-and-enlarge can grow a window past 24 h. Reduced mod 1 day, this
+    // one would read as [43200, 44400), which holds no entry of A.
+    val q = Spq(Vector(A, B), PeriodicInterval(43200, 43200 + 86400 + 1200), None, Some(5), 0)
+    for ((acc, fast) <- Seq(CssAcc -> CssFast, BtAcc -> BtFast)) {
+      val e = new CardinalityEstimator(idx, Some(store), acc).estimate(q)
+      assert(e == new CardinalityEstimator(idx, Some(store), fast).estimate(q), acc.name)
+      assert(e == 3.0, acc.name)
+    }
+  }
+
   test("user predicate multiplies the Selinger 1/10 factor") {
     val q = Spq(Vector(A, B), PeriodicInterval(0, 8640), Some(u1), Some(5), 0)
     val e = new CardinalityEstimator(idx, Some(store), CssFast).estimate(q)

@@ -67,6 +67,15 @@ class SNTIndexSpec extends AnyFunSuite {
     assert(math.abs(x(0) - paperNetwork.estimateTT(F)) < 1e-9)
   }
 
+  test("a single fixed segment that never occurs gets the speed-limit estimate, also under β") {
+    // Neither tr0 nor tr1 traverses F; C carries one traversal, too few for β = 3.
+    val index = SNTIndex.build(paperNetwork, paperTrajs.take(2))
+    assert(index.getTravelTimes(Spq(Vector(F), FixedInterval(0, 100), None, Some(3), 0)).toSeq ==
+           Seq(paperNetwork.estimateTT(F)))
+    assert(index.getTravelTimes(Spq(Vector(C), FixedInterval(0, 100), None, Some(3), 0)).isEmpty)
+    assert(index.getTravelTimes(Spq(Vector(F), PeriodicInterval(0, 900), None, Some(3), 0)).isEmpty)
+  }
+
   test("multi-segment query with empty ISA range returns empty, not fallback") {
     val q = Spq(Vector(E, A), FixedInterval(0, 100), None, None, 0)
     assert(idx.getTravelTimes(q).isEmpty)
@@ -92,6 +101,18 @@ class SNTIndexSpec extends AnyFunSuite {
     assert(idx.matchCountCapped(Vector(A, B), FixedInterval(0, 15), None, Int.MaxValue) == 3)
     assert(idx.matchCountCapped(Vector(A, B), FixedInterval(0, 15), Some(u1), Int.MaxValue) == 2)
     assert(idx.matchCountCapped(Vector(A, B), FixedInterval(0, 15), None, 2) == 2)
+  }
+
+  test("getTravelTimes and matchCountCapped reject an edge id outside [1, numEdges]") {
+    // Edge 0 is the FM `$` separator; the FM-index has no symbol for the others.
+    for (bad <- Seq(0, -1, paperNetwork.numEdges + 1); path <- Seq(Vector(bad), Vector(A, bad));
+         iv <- Seq(FixedInterval(0, 15), PeriodicInterval(0, 900))) {
+      val msg = s"edge id $bad at path position ${path.length - 1} is outside [1, ${paperNetwork.numEdges}]"
+      val e1 = intercept[IllegalArgumentException](idx.getTravelTimes(Spq(path, iv, None, Some(2), 0)))
+      assert(e1.getMessage.contains(msg), s"path=$path iv=$iv")
+      val e2 = intercept[IllegalArgumentException](idx.matchCountCapped(path, iv, None, 2))
+      assert(e2.getMessage.contains(msg), s"path=$path iv=$iv")
+    }
   }
 
   // ---- randomized differential tests ------------------------------------
@@ -312,6 +333,50 @@ class SNTIndexSpec extends AnyFunSuite {
       idx.scanLadder(A, idx.pathRanges(Vector(A)), Array(PeriodicInterval(0, 900), PeriodicInterval(60, 1800)),
                      None, 1))
     assert(e.getMessage.contains("does not contain"))
+  }
+
+  // ---- Procedure 3 against a brute-force filter of the leaf columns --------
+
+  test("buildMap keeps the first cap records passing every test and examines the records up to them") {
+    val SeqBits = 14 // a (d, seq) key holds seq in its low 14 bits, d above them
+    val seqMask = (1L << SeqBits) - 1
+    val day = TimeInterval.DaySec
+    val kinds = collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+    for ((days, index) <- Seq(None -> fullIdx, Some(7) -> byDays.toMap.apply(7)); (path, u) <- samplePaths(110, 30)) {
+      val recs = index.records(path.head)
+      val (tmin, tmax) = (index.tminGlobal, index.tmaxGlobal)
+      val t = recs.t(recs.size / 2)
+      val windows: Seq[TimeInterval] = Seq(
+        FixedInterval(0, tmax), FixedInterval(t, t), FixedInterval(tmax, tmax + 5000), FixedInterval(0, tmin),
+        FixedInterval(t - 50000, t + 50000), FixedInterval(t, t + 1), FixedInterval(tmin, t),
+        PeriodicInterval(t - 900, t + 900), PeriodicInterval(-900, 900), PeriodicInterval(80000, 90000),
+        PeriodicInterval(0, day), PeriodicInterval(t, t))
+      for (iv <- windows; user <- Seq(None, Some(u)); cap <- Seq(1, 3, 20, Int.MaxValue)) {
+        val clue = s"days=$days path=$path iv=$iv user=$user cap=$cap"
+        val ranges = index.pathRanges(path, iv)
+        val kept = recs.t.indices.filter { i =>
+          val (st, ed) = ranges(recs.w(i))
+          iv.contains(recs.t(i)) && recs.isa(i) >= st && recs.isa(i) < ed && user.forall(_ == index.users(recs.d(i)))
+        }.take(cap)
+        val want = kept.map(i => (recs.d(i), recs.seq(i)) -> (recs.a(i) - recs.tt(i))).toMap
+        // A fixed window is scanned from its first position, a periodic one
+        // from position 0; the scan ends after the cap-th kept record, or
+        // else at the window's end.
+        val (from, end) = iv match {
+          case FixedInterval(ts, te) => (recs.t.count(_ < ts), recs.t.count(_ < te))
+          case _                     => (0, recs.size)
+        }
+        val last = if (kept.length == cap) kept.last + 1 else end
+        val work = new ScanWork
+        val m = index.buildMap(path.head, ranges, iv, user, cap, work)
+        val got = m.iterator.map { case (k, v) => ((k >>> SeqBits).toInt, (k & seqMask).toInt) -> v }.toMap
+        assert(got == want, clue)
+        assert(work.firstEdgeRecords == last - from, clue)
+        kinds(if (kept.isEmpty) "empty" else if (kept.length == cap) "capped" else "window end") += 1
+      }
+    }
+    info(kinds.toSeq.sorted.mkString(", "))
+    for (kind <- Seq("empty", "capped", "window end")) assert(kinds(kind) > 100, kind)
   }
 
   test("memC grows linearly with the number of partitions") {
