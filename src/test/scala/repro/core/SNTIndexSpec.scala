@@ -379,6 +379,89 @@ class SNTIndexSpec extends AnyFunSuite {
     for (kind <- Seq("empty", "capped", "window end")) assert(kinds(kind) > 100, kind)
   }
 
+  // ---- Procedure 4 against a brute-force scan of the last edge's leaves ----
+
+  private lazy val testScaleTrajs = {
+    val s = repro.eval.Experiments.TestScale
+    val tNet = NetworkGen.generate(s.gridW, s.gridH, s.seed)
+    (tNet, TrajectoryGen.collectTrajs(
+      tNet, TrajectoryGen.Config(s.numTraj, s.numDrivers, s.numRoutes, s.days, s.seed)))
+  }
+
+  /** Procedure 4 by brute force: the last edge's leaves in position order;
+    * each whose (d, seq + 1 − l) is a key of `m` yields a − m(key).
+    */
+  private def lastEdgeScan(index: SNTIndex, edge: Int, l: Int,
+                           m: collection.mutable.LongMap[Double]): Seq[Double] = {
+    val recs = index.records(edge)
+    if (recs == null) Seq.empty
+    else for {
+      i <- 0 until recs.size
+      s = recs.seq(i) + 1 - l if s >= 0
+      b <- m.get((recs.d(i).toLong << 14) | s)
+    } yield recs.a(i) - b
+  }
+
+  test("probeMap and answerLadder return the last-edge scan's travel times, in its order") {
+    val (tNet, tTrajs) = testScaleTrajs
+    // A trajectory that traverses ⟨A, B, E⟩ twice: its last edge E occurs twice.
+    val loop = Traj(9, u1, Array(A, B, E, A, B, E), Array(20L, 23L, 27L, 31L, 35L, 40L),
+                    Array(3.0, 4.0, 4.5, 4.0, 5.0, 4.0))
+    val paperPaths = Seq(Vector(E), Vector(B, E), Vector(A, B, E), Vector(E, A, B, E), Vector(A, B))
+    val cases = Seq(None, Some(7)).flatMap { days =>
+      val index = SNTIndex.build(tNet, tTrajs, CssForest, days)
+      val rnd = new Random(111)
+      val paths = Seq.fill(40) {
+        val tr = tTrajs(rnd.nextInt(tTrajs.length))
+        val l = 1 + rnd.nextInt(math.min(4, tr.length))
+        val lo = rnd.nextInt(tr.length - l + 1)
+        (tr.edges.slice(lo, lo + l).toVector, tr.times(lo), tr.user)
+      }
+      paths.map(p => (s"days=$days", index, p))
+    } ++ {
+      val index = SNTIndex.build(paperNetwork, paperTrajs :+ loop, CssForest, None)
+      paperPaths.map(p => ("paper+loop", index, (p, 20L, u1)))
+    }
+    val splitter = new Splitter(Vector(15L, 30L, 45L, 60L, 90L, 120L).map(_ * 60L), SigmaR, cases.head._2)
+    val kinds = collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+    for {
+      (name, index, (path, t, u)) <- cases
+      l = path.length
+      ladder <- Seq(Array[TimeInterval](FixedInterval(0, index.tmaxGlobal)),
+                    Array[TimeInterval](FixedInterval(t - 50000, t + 50000)),
+                    splitter.ladder(PeriodicInterval(t - 450, t + 450)).toArray[TimeInterval],
+                    splitter.ladder(PeriodicInterval(-450, 450)).toArray[TimeInterval])
+      user <- Seq(None, Some(u))
+      beta <- Seq(Some(1), Some(3), Some(20), None)
+      relaxed <- Seq(false, true)
+    } {
+      val clue = s"$name path=$path ladder=${ladder.toSeq} user=$user beta=$beta relaxed=$relaxed"
+      val cap = beta.getOrElse(Int.MaxValue)
+      val ranges = index.pathRanges(path, ladder.last)
+      for (iv <- ladder) {
+        val m = index.buildMap(path.head, ranges, iv, user, cap)
+        val want = lastEdgeScan(index, path.last, l, m)
+        assert(index.probeMap(path.last, l, m).toSeq == want, s"$clue iv=$iv")
+        assert(want.length == m.size, s"$clue iv=$iv")
+      }
+      val q = Spq(path, ladder.head, user, beta, 0, relaxed)
+      val (hit, x) = index.answerLadder(q, ladder)
+      if (hit >= 0) {
+        val m = index.scanLadder(path.head, ranges, ladder, user, cap).map(hit, cap)
+        if (m.isEmpty) assert(l == 1 && x.toSeq == Seq(index.net.estimateTT(path.head)), clue)
+        else {
+          assert(x.toSeq == lastEdgeScan(index, path.last, l, m), clue)
+          kinds(if (m.size == 1) "one" else if (x.toSeq == x.sorted.toSeq) "sorted" else "unsorted") += 1
+          if (name == "paper+loop" && m.keysIterator.exists(k => (k >>> 14) == paperTrajs.length)) kinds("loop") += 1
+          if (ladder.head == FixedInterval(0, index.tmaxGlobal) && relaxed && user.isEmpty && beta.isEmpty)
+            assert(x.length == index.countPath(path), clue) // M is every occurrence
+        }
+      }
+    }
+    info(kinds.toSeq.sorted.mkString(", "))
+    for (kind <- Seq("one", "sorted", "unsorted", "loop")) assert(kinds(kind) > 10, kind)
+  }
+
   test("memC grows linearly with the number of partitions") {
     val full = SNTIndex.build(net, trajs, CssForest, None)
     val part = SNTIndex.build(net, trajs, CssForest, Some(7))
