@@ -18,11 +18,13 @@ case object BtForest extends TreeType
   * records extended with (TT, seq, a) (§4.1.3), plus the associative
   * container U mapping a leaf's trajectory reference d — the trajectory's
   * position in the array `build` was given — to its user id for the filter
-  * predicate f.
+  * predicate f. Trajectory d's k-th traversal is leaf number
+  * `trajOff(d) + k`, and `leafPos` holds that leaf's position in its edge's
+  * records.
   *
   * `answerLadder` is Procedure 5 built from Procedure 2 (backward search),
-  * Procedure 3 (`scanLadder` over the first edge) and Procedure 4 (probeMap
-  * over the last edge).
+  * Procedure 3 (`scanLadder` over the first edge) and Procedure 4 (`probe`,
+  * which finds each match's last-edge leaf through `leafPos`).
   *
   * `firstEntry(w)` / `lastEntry(w)` bound the leaf entry times of partition w,
   * so a fixed-interval query can skip the partitions it cannot match.
@@ -35,11 +37,13 @@ final class SNTIndex(
     val records: Array[TemporalRecords],   // indexed by edge id; null = no data
     val search: Array[TemporalSearch],
     val users: Array[Int],                 // U: users(d) drives trajectory d
+    val trajOff: Array[Int],               // leaf number of trajectory d's first traversal; trajOff(n) = leaves
+    val leafPos: Array[Int],               // position of each leaf in its edge's records
     val tminGlobal: Long,
     val tmaxGlobal: Long,
 ) extends Serializable {
 
-  import SNTIndex.key
+  import SNTIndex.SeqBits
 
   /** Procedure 2 across temporal partitions: one ISA range per partition. */
   def pathRanges(path: IndexedSeq[Int]): Array[(Int, Int)] = rangesMeeting(path, Long.MinValue, Long.MaxValue)
@@ -147,26 +151,50 @@ final class SNTIndex(
     else user.isEmpty || users(recs.d(i)) == user.get
   }
 
-  /** Procedure 4 — scan the last edge's temporal index; every record whose
-    * (d, seq+1−l) is in the map yields the path travel time a − diff.
+  /** Procedure 4 for a map `buildMap` returned for a path of `l` segments
+    * whose last edge is `edge`: the path travel times of its matches, in
+    * `probe`'s order.
     */
-  def probeMap(edge: Int, l: Int, m: collection.mutable.LongMap[Double]): Array[Double] = {
-    val recs = records(edge)
-    if (recs == null || m.isEmpty) return Array.empty
-    val out = Array.newBuilder[Double]
-    var found = 0
-    val target = m.size
-    var i = 0
-    val n = recs.size
-    while (i < n && found < target) {
-      val s = recs.seq(i) + 1 - l
-      if (s >= 0) {
-        val b = m.get(key(recs.d(i), s))
-        if (b.isDefined) { out += recs.a(i) - b.get; found += 1 }
-      }
-      i += 1
+  def probeMap(edge: Int, l: Int, m: collection.mutable.LongMap[Double],
+               work: ScanWork = new ScanWork): Array[Double] = {
+    val d = new Array[Int](m.size)
+    val seq = new Array[Int](m.size)
+    val b = new Array[Double](m.size)
+    var j = 0
+    m.foreachEntry { (k, v) =>
+      d(j) = (k >>> SeqBits).toInt
+      seq(j) = (k & ((1L << SeqBits) - 1)).toInt
+      b(j) = v
+      j += 1
     }
-    out.result()
+    probe(edge, l, new SNTIndex.Matches(d, seq, b), work)
+  }
+
+  /** Procedure 4 by position. Match j starts an occurrence of an l-segment
+    * path at trajectory d's traversal seq — its first-edge leaf lies in the
+    * path's ISA range — so the occurrence ends at traversal seq + l − 1, whose
+    * leaf on the last edge `edge` is at position leafPos(trajOff(d) + seq +
+    * l − 1). Its travel time is that leaf's a minus b(j). Sorted by last-edge
+    * position, the times come in the order a scan of the last edge finds them.
+    */
+  private def probe(edge: Int, l: Int, m: SNTIndex.Matches, work: ScanWork): Array[Double] = {
+    val recs = records(edge)
+    val n = m.size
+    val found = new Array[Long](n) // last-edge position · 2^32 + match index
+    var j = 0
+    while (j < n) {
+      found(j) = (leafPos(trajOff(m.d(j)) + m.seq(j) + l - 1).toLong << 32) | j
+      j += 1
+    }
+    work.lastEdgeRecords += n
+    java.util.Arrays.sort(found)
+    val out = new Array[Double](n)
+    j = 0
+    while (j < n) {
+      out(j) = recs.a((found(j) >>> 32).toInt) - m.b(found(j).toInt)
+      j += 1
+    }
+    out
   }
 
   /** Rejects a path holding an edge id outside [1, numEdges]: id 0 is the
@@ -223,7 +251,7 @@ final class SNTIndex(
       var k = 0
       while (k < rungs.length) {
         // Each record of M starts an occurrence of the path, so X is non-empty.
-        if (scan.held(k) >= need) return (k, probeMap(q.path.last, q.length, scan.map(k, cap)))
+        if (scan.held(k) >= need) return (k, probe(q.path.last, q.length, scan.matches(k, cap), work))
         k += 1
       }
     }
@@ -245,9 +273,11 @@ final class SNTIndex(
   def memWT: Long = partitions.map(_.bwtTree.memoryBytes).sum
   /** Associative container U (d → u). */
   def memUser: Long = users.length.toLong * 4 + 16
-  /** Temporal forest: leaf columns + search structures. */
+  /** Temporal forest: leaf columns, search structures and the leaf
+    * numbering (`trajOff`, `leafPos`).
+    */
   def memForest: Long = {
-    var s = 0L
+    var s = trajOff.length.toLong * 4 + 16 + leafPos.length.toLong * 4 + 16
     var e = 0
     while (e < records.length) {
       if (records(e) != null) s += records(e).memoryBytes + search(e).memoryBytes
@@ -261,6 +291,8 @@ final class SNTIndex(
 final class ScanWork {
   /** Records examined by first-edge scans (Procedure 3). */
   var firstEdgeRecords: Long = 0L
+  /** Last-edge leaves read by Procedure 4, one per match. */
+  var lastEdgeRecords: Long = 0L
 }
 
 object SNTIndex {
@@ -279,20 +311,42 @@ object SNTIndex {
     }
 
     /** Rung k's map M of Procedure 3: its first `cap` records in position
-      * order, (d, seq) → a − TT — the map a scan of rung k alone keeps.
+      * order — the records a scan of rung k alone keeps.
       */
-    def map(k: Int, cap: Int): collection.mutable.LongMap[Double] = {
-      val m = collection.mutable.LongMap.empty[Double]
+    def matches(k: Int, cap: Int): Matches = {
+      val n = math.min(held(k), cap)
+      val m = new Matches(new Array[Int](n), new Array[Int](n), new Array[Double](n))
+      var i = 0
       var j = 0
-      while (j < found && m.size < cap) {
+      while (i < n) {
         if (tag(j) <= k) {
           val p = pos(j)
-          m.update(key(recs.d(p), recs.seq(p)), recs.a(p) - recs.tt(p))
+          m.d(i) = recs.d(p)
+          m.seq(i) = recs.seq(p)
+          m.b(i) = recs.a(p) - recs.tt(p)
+          i += 1
         }
         j += 1
       }
       m
     }
+
+    /** `matches(k, cap)` as the (d, seq) → a − TT map of Procedure 3. */
+    def map(k: Int, cap: Int): collection.mutable.LongMap[Double] = {
+      val m = matches(k, cap)
+      val out = collection.mutable.LongMap.empty[Double]
+      var i = 0
+      while (i < m.size) { out.update(key(m.d(i), m.seq(i)), m.b(i)); i += 1 }
+      out
+    }
+  }
+
+  /** A map M of Procedure 3 as columns in first-edge position order: match j
+    * is trajectory d(j) entering the path at its traversal seq(j), and b(j)
+    * is a − TT of that first-edge leaf.
+    */
+  final class Matches(val d: Array[Int], val seq: Array[Int], val b: Array[Double]) {
+    def size: Int = d.length
   }
 
   // The (d, seq) key of Procedures 3–4: d < 2^31 and seq < 2^SeqBits, so distinct pairs never share a key.
@@ -300,7 +354,8 @@ object SNTIndex {
 
   /** Bits of the segment position `seq` in the (d, seq) keys of Procedures 3–4.
     * Routes are a few hundred segments; `build` rejects longer trajectories
-    * than the bits can hold, whose keys would alias.
+    * than the bits can hold, whose keys would alias. The bound also keeps seq
+    * within the `Short` leaf column.
     */
   private val SeqBits = 14
 
@@ -313,6 +368,7 @@ object SNTIndex {
   def build(net: RoadNetwork, trajs: Array[Traj], treeType: TreeType = CssForest,
             partitionDays: Option[Int] = None): SNTIndex = {
     require(trajs.nonEmpty, "no trajectories")
+    var leaves = 0L
     trajs.foreach { t =>
       require(t.length > 0, s"trajectory ${t.id} has no segments")
       require(t.times.length == t.length && t.tts.length == t.length,
@@ -321,7 +377,11 @@ object SNTIndex {
         s"trajectory ${t.id} has ${t.length} segments; at most ${(1 << SeqBits) - 1} are supported")
       val bad = t.edges.indexWhere(e => e < 1 || e > net.numEdges)
       require(bad < 0, s"trajectory ${t.id} has edge id ${t.edges(bad)} at position $bad, outside [1, ${net.numEdges}]")
+      val badT = t.times.indexWhere(s => s < 0 || s > Int.MaxValue)
+      require(badT < 0, s"trajectory ${t.id} has entry time ${t.times(badT)} at position $badT, outside [0, 2^31)")
+      leaves += t.length
     }
+    require(leaves <= Int.MaxValue, s"$leaves traversals; at most ${Int.MaxValue} are supported")
     val tmin = trajs.iterator.map(_.t0).min
     val tmax = trajs.iterator.map(t => t.times(t.length - 1) + math.ceil(t.tts(t.length - 1)).toLong).max + 1
 
@@ -334,6 +394,7 @@ object SNTIndex {
     val dense = wIds.zipWithIndex.toMap
     val w = rawW.map(dense)
     val numW = wIds.length
+    require(numW < (1 << 15), s"$numW temporal partitions; at most ${(1 << 15) - 1} are supported")
 
     // One trajectory string per partition; remember each trajectory's offset.
     val sigma = net.numEdges + 1
@@ -359,43 +420,87 @@ object SNTIndex {
       p += 1
     }
 
-    // Temporal forest: bucket every traversal leaf by edge, then sort by t;
-    // the same pass bounds each partition's leaf entry times.
+    // Temporal forest. Trajectory i's k-th traversal is leaf trajOff(i) + k.
+    // A counting sort on edge lists each edge's leaves in build order;
+    // sorting an edge's leaves by entry time, equal times in build order,
+    // gives its records, and leafPos(g) is where leaf g lands. The counting
+    // pass also bounds each partition's leaf entry times.
     val firstEntry = Array.fill(numW)(Long.MaxValue)
     val lastEntry = Array.fill(numW)(Long.MinValue)
-    val perEdge = new Array[collection.mutable.ArrayBuffer[TemporalRecords.Row]](net.numEdges + 1)
+    val trajOff = new Array[Int](trajs.length + 1)
+    val leafTraj = new Array[Int](leaves.toInt)
+    val edgeStart = new Array[Int](net.numEdges + 2) // edge e's leaves are [edgeStart(e), edgeStart(e + 1))
     i = 0
     while (i < trajs.length) {
       val tr = trajs(i)
       val wi = w(i)
-      val isa = isas(wi)
+      trajOff(i + 1) = trajOff(i) + tr.length
       var k = 0
       while (k < tr.length) {
-        val e = tr.edges(k)
+        edgeStart(tr.edges(k) + 1) += 1
+        leafTraj(trajOff(i) + k) = i
         firstEntry(wi) = math.min(firstEntry(wi), tr.times(k))
         lastEntry(wi) = math.max(lastEntry(wi), tr.times(k))
-        if (perEdge(e) == null) perEdge(e) = collection.mutable.ArrayBuffer.empty
-        perEdge(e) += TemporalRecords.Row(tr.times(k), isa(offsets(i) + k), i,
-                                          tr.tts(k), tr.cum(k), k, wi)
         k += 1
       }
       i += 1
     }
+    var e = 1
+    while (e < edgeStart.length) { edgeStart(e) += edgeStart(e - 1); e += 1 }
+    val byEdge = new Array[Int](leafTraj.length)
+    val next = edgeStart.clone()
+    var g = 0
+    while (g < byEdge.length) {
+      val d = leafTraj(g)
+      val edge = trajs(d).edges(g - trajOff(d))
+      byEdge(next(edge)) = g
+      next(edge) += 1
+      g += 1
+    }
+    val leafPos = new Array[Int](leafTraj.length)
     val records = new Array[TemporalRecords](net.numEdges + 1)
     val search = new Array[TemporalSearch](net.numEdges + 1)
-    var e = 1
+    e = 1
     while (e <= net.numEdges) {
-      if (perEdge(e) != null) {
-        val r = TemporalRecords.fromRows(perEdge(e).toArray)
+      val from = edgeStart(e)
+      val n = edgeStart(e + 1) - from
+      if (n > 0) {
+        val t = new Array[Int](n)
+        var j = 0
+        while (j < n) {
+          val g = byEdge(from + j)
+          val d = leafTraj(g)
+          t(j) = trajs(d).times(g - trajOff(d)).toInt
+          j += 1
+        }
+        val order = TemporalRecords.timeOrder(t)
+        val r = new TemporalRecords(new Array[Int](n), new Array[Int](n), new Array[Int](n),
+          new Array[Double](n), new Array[Double](n), new Array[Short](n), new Array[Short](n))
+        var p = 0
+        while (p < n) {
+          val g = byEdge(from + order(p))
+          val d = leafTraj(g)
+          val k = g - trajOff(d)
+          val tr = trajs(d)
+          r.t(p) = t(order(p))
+          r.isa(p) = isas(w(d))(offsets(d) + k)
+          r.d(p) = d
+          r.tt(p) = tr.tts(k)
+          r.a(p) = tr.cum(k)
+          r.seq(p) = k.toShort
+          r.w(p) = w(d).toShort
+          leafPos(g) = p
+          p += 1
+        }
         records(e) = r
         search(e) = treeType match {
           case CssForest => new CSSTree(r.t)
           case BtForest  => new BPlusTree(r.t)
         }
-        perEdge(e) = null
       }
       e += 1
     }
-    new SNTIndex(net, fms, firstEntry, lastEntry, records, search, trajs.map(_.user), tmin, tmax)
+    new SNTIndex(net, fms, firstEntry, lastEntry, records, search, trajs.map(_.user), trajOff, leafPos,
+                 tmin, tmax)
   }
 }

@@ -31,6 +31,7 @@ final case class TripResult(
     indexCalls: Int,      // ladder rungs sent to the index, up to the accepted one
     estimatorSkips: Int,  // ladder rungs passed over on the estimate alone
     firstEdgeRecords: Long = 0L, // records examined by first-edge scans (Procedure 3)
+    lastEdgeRecords: Long = 0L,  // last-edge leaves read by Procedure 4
 ) {
   /** Σ X̄_j — the point estimate compared against the trajectory's true time. */
   def meanEstimate: Double = sub.map(_.mean).sum
@@ -102,7 +103,7 @@ final class TripQueryProcessor(
     require(queue.isEmpty, s"tripQuery did not terminate within $maxSteps steps")
     val sorted = done.sortBy(_.startIdx).toVector
     val hist = Histogram.convolveAll(sorted.map(r => Histogram.create(r.x, bucketH)))
-    TripResult(sorted, hist, calls, skips, work.firstEdgeRecords)
+    TripResult(sorted, hist, calls, skips, work.firstEdgeRecords, work.lastEdgeRecords)
   }
 
   /** The rungs sent to the index, by position: every rung, except that with

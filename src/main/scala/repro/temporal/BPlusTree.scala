@@ -6,17 +6,17 @@ package repro.temporal
   * child pointers. Pointer-based on purpose — its per-node object overhead
   * is what makes the BT rows of Fig 10a slightly heavier than the CSS rows.
   */
-final class BPlusTree(keys: Array[Long]) extends TemporalSearch {
+final class BPlusTree(keys: Array[Int]) extends TemporalSearch {
   private val Fanout = 16
 
   private sealed trait Node extends Serializable
   private final case class Leaf(lo: Int, hi: Int) extends Node
-  private final case class Inner(seps: Array[Long], children: Array[Node]) extends Node
+  private final case class Inner(seps: Array[Int], children: Array[Node]) extends Node
 
   private val (root: Node, nodeCount: Int) = {
     if (keys.isEmpty) (Leaf(0, 0), 1)
     else {
-      var nodes: Vector[(Long, Node)] = // (subtree max key, node)
+      var nodes: Vector[(Int, Node)] = // (subtree max key, node)
         (0 until keys.length by Fanout).map { lo =>
           val hi = math.min(keys.length, lo + Fanout)
           (keys(hi - 1), Leaf(lo, hi): Node)
@@ -58,7 +58,7 @@ final class BPlusTree(keys: Array[Long]) extends TemporalSearch {
   // ~48 bytes object overhead per node + separator/child arrays for inners.
   def memoryBytes: Long = nodeCount.toLong * 48 + {
     def sz(n: Node): Long = n match {
-      case Inner(s, c) => s.length.toLong * 8 + c.length.toLong * 8 + 32 + c.map(sz).sum
+      case Inner(s, c) => s.length.toLong * 4 + c.length.toLong * 8 + 32 + c.map(sz).sum
       case _: Leaf     => 16L
     }
     sz(root)

@@ -2,23 +2,23 @@ package repro.temporal
 
 /** Cache-sensitive search tree (Rao & Ross, §4.3.1): a pointerless directory
   * of node-maximum keys over a sorted array, node width = 16 keys (one cache
-  * line of longs). Append-only by construction — rebuilding the directory is
+  * line of ints). Append-only by construction — rebuilding the directory is
   * the only update path, matching the paper's batch-update trade-off.
   *
   * `lowerBound` descends the directory and returns an array position, so an
   * exact range count is `lowerBound(te) − lowerBound(ts)` in O(log n) — the
   * property the CSS-Fast/CSS-Acc estimator modes exploit (§4.4).
   */
-final class CSSTree(keys: Array[Long]) extends TemporalSearch {
+final class CSSTree(keys: Array[Int]) extends TemporalSearch {
   private val Node = 16
 
   // levels(0) = maxima of 16-key blocks of `keys`; each upper level compresses
   // the one below by 16 until a single node remains. levels is top-down.
-  private val levels: Array[Array[Long]] = {
+  private val levels: Array[Array[Int]] = {
     var cur = keys
-    val out = collection.mutable.ArrayBuffer.empty[Array[Long]]
+    val out = collection.mutable.ArrayBuffer.empty[Array[Int]]
     while (cur.length > Node) {
-      val up = new Array[Long]((cur.length + Node - 1) / Node)
+      val up = new Array[Int]((cur.length + Node - 1) / Node)
       var i = 0
       while (i < up.length) {
         val end = math.min(cur.length, (i + 1) * Node) - 1
@@ -56,5 +56,5 @@ final class CSSTree(keys: Array[Long]) extends TemporalSearch {
 
   def supportsExactCount: Boolean = true
 
-  def memoryBytes: Long = levels.map(_.length.toLong * 8 + 16).sum + 32
+  def memoryBytes: Long = levels.map(_.length.toLong * 4 + 16).sum + 32
 }

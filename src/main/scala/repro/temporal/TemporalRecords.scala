@@ -5,16 +5,17 @@ package repro.temporal
   * t → (isa, d, TT, a, seq, w): ISA value, trajectory reference (its
   * position in the array the index was built from), traversal time,
   * cumulative travel time from the trajectory start, sequence number, and
-  * the temporal-partition id (§4.3.2).
+  * the temporal-partition id (§4.3.2). A leaf takes 32 bytes: t is an `Int`
+  * of seconds in [0, 2^31), seq and w are `Short`s.
   */
 final class TemporalRecords(
-    val t: Array[Long],
+    val t: Array[Int],
     val isa: Array[Int],
     val d: Array[Int],
     val tt: Array[Double],
     val a: Array[Double],
-    val seq: Array[Int],
-    val w: Array[Int],
+    val seq: Array[Short],
+    val w: Array[Short],
 ) extends Serializable {
   def size: Int = t.length
   def minKey: Long = if (size == 0) Long.MaxValue else t(0)
@@ -22,18 +23,25 @@ final class TemporalRecords(
 
   /** Payload bytes (excluding the search structure on top). */
   def memoryBytes: Long =
-    t.length.toLong * (8 + 4 + 4 + 8 + 8 + 4 + 4) + 7 * 16
+    t.length.toLong * (4 + 4 + 4 + 8 + 8 + 2 + 2) + 7 * 16
 }
 
 object TemporalRecords {
-  final case class Row(t: Long, isa: Int, d: Int, tt: Double, a: Double, seq: Int, w: Int)
 
-  def fromRows(rows: Array[Row]): TemporalRecords = {
-    // Stable like `sortBy` (equal entry times keep build order), without boxing the keys.
-    val s = rows.clone()
-    java.util.Arrays.sort(s, java.util.Comparator.comparingLong[Row](_.t))
-    new TemporalRecords(
-      s.map(_.t), s.map(_.isa), s.map(_.d), s.map(_.tt), s.map(_.a), s.map(_.seq), s.map(_.w))
+  /** The indices of `t` in ascending order of entry time: the leaf given at
+    * index order(i) goes to position i. Equal entry times keep the order
+    * given, as a stable sort would. One primitive sort on the unique keys
+    * t·2^32 + j.
+    */
+  def timeOrder(t: Array[Int]): Array[Int] = {
+    val keys = new Array[Long](t.length)
+    var j = 0
+    while (j < t.length) { keys(j) = (t(j).toLong << 32) | j; j += 1 }
+    java.util.Arrays.sort(keys)
+    val order = new Array[Int](t.length)
+    j = 0
+    while (j < t.length) { order(j) = keys(j).toInt; j += 1 }
+    order
   }
 }
 

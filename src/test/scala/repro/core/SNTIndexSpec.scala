@@ -462,6 +462,78 @@ class SNTIndexSpec extends AnyFunSuite {
     for (kind <- Seq("one", "sorted", "unsorted", "loop")) assert(kinds(kind) > 10, kind)
   }
 
+  test("Procedure 4 reads one last-edge leaf per match") {
+    val (tNet, tTrajs) = testScaleTrajs
+    val index = SNTIndex.build(tNet, tTrajs, CssForest, None)
+    val rnd = new Random(112)
+    var reads = 0L
+    for (_ <- 0 until 100) {
+      val tr = tTrajs(rnd.nextInt(tTrajs.length))
+      val l = 1 + rnd.nextInt(math.min(4, tr.length))
+      val lo = rnd.nextInt(tr.length - l + 1)
+      val path = tr.edges.slice(lo, lo + l).toVector
+      val iv = PeriodicInterval(tr.times(lo) - 1800, tr.times(lo) + 1800)
+      val m = index.buildMap(path.head, index.pathRanges(path), iv, None, 20)
+      val work = new ScanWork
+      assert(index.probeMap(path.last, l, m, work).length == m.size)
+      assert(work.lastEdgeRecords == m.size, s"path=$path")
+      val viaLadder = new ScanWork
+      val x = index.getTravelTimes(Spq(path, iv, None, Some(20), 0, relaxed = true), viaLadder)
+      assert(viaLadder.lastEdgeRecords == x.length, s"path=$path")
+      reads += m.size
+    }
+    assert(reads > 100)
+  }
+
+  test("build rejects an entry time outside [0, 2^31)") {
+    for (time <- Seq(-1L, 1L << 31, Long.MinValue)) {
+      val bad = Traj(9, u1, Array(A, B), Array(0L, time), Array(3.0, 4.0))
+      val e = intercept[IllegalArgumentException](SNTIndex.build(paperNetwork, paperTrajs :+ bad))
+      assert(e.getMessage.contains(s"trajectory 9 has entry time $time at position 1, outside [0, 2^31)"))
+    }
+    // The last second of the domain is accepted.
+    val atEnd = Traj(9, u1, Array(A, B), Array(Int.MaxValue - 5L, Int.MaxValue.toLong), Array(3.0, 4.0))
+    val index = SNTIndex.build(paperNetwork, paperTrajs :+ atEnd, CssForest, Some(7))
+    assert(index.getTravelTimes(Spq(Vector(A, B), FixedInterval(Int.MaxValue - 5L, 1L << 31), None, None, 0))
+             .toSeq == Seq(7.0))
+  }
+
+  test("Unix entry times: FULL and 7-day indexes equal the naive scan (TestScale)") {
+    val (tNet, tTrajs) = testScaleTrajs
+    val shift = 1546300800L + 12345L // 2019-01-01 00:00 UTC plus a part of a day
+    val unix = tTrajs.map(tr => tr.copy(times = tr.times.map(_ + shift)))
+    val rnd = new Random(113)
+    val queries = Seq.fill(40) {
+      val tr = unix(rnd.nextInt(unix.length))
+      val l = 1 + rnd.nextInt(math.min(4, tr.length))
+      val lo = rnd.nextInt(tr.length - l + 1)
+      (tr.edges.slice(lo, lo + l).toVector, tr.times(lo), tr.user)
+    }
+    val day = TimeInterval.DaySec
+    var nonEmpty = 0
+    for (days <- Seq(None, Some(7))) {
+      val index = SNTIndex.build(tNet, unix, CssForest, days)
+      val (tmin, tmax) = (index.tminGlobal, index.tmaxGlobal)
+      for ((path, t, u) <- queries; user <- Seq(None, Some(u))) {
+        val tod = Math.floorMod(t, day)
+        val windows: Seq[TimeInterval] = Seq(
+          FixedInterval(0, tmax), FixedInterval(tmin - 5000, tmin), FixedInterval(tmax, tmax + 5000),
+          FixedInterval(t - 50000, t + 50000), FixedInterval(t, t + 1),
+          PeriodicInterval(tod - 900, tod + 900), PeriodicInterval(-900, 900), PeriodicInterval(day - 600, day + 600),
+          PeriodicInterval(t - 1800, t + 1800))
+        for (iv <- windows) {
+          val naive = naiveTravelTimes(unix.toSeq, path, iv, user)
+          val want =
+            if (naive.isEmpty && path.length == 1 && !iv.isPeriodic) Seq(tNet.estimateTT(path.head)) else naive
+          val got = index.getTravelTimes(Spq(path, iv, user, None, 0))
+          assert(sortedTT(got) == sortedTT(want), s"days=$days path=$path iv=$iv user=$user")
+          if (naive.nonEmpty) nonEmpty += 1
+        }
+      }
+    }
+    assert(nonEmpty > 200)
+  }
+
   test("memC grows linearly with the number of partitions") {
     val full = SNTIndex.build(net, trajs, CssForest, None)
     val part = SNTIndex.build(net, trajs, CssForest, Some(7))

@@ -6,16 +6,16 @@ import scala.util.Random
 
 class TemporalSpec extends AnyFunSuite {
 
-  private def naiveLowerBound(keys: Array[Long], k: Long): Int = {
+  private def naiveLowerBound(keys: Array[Int], k: Long): Int = {
     var i = 0
     while (i < keys.length && keys(i) < k) i += 1
     i
   }
 
-  private def randomKeys(rnd: Random, n: Int): Array[Long] =
-    Array.fill(n)(rnd.nextLong(10000)).sorted
+  private def randomKeys(rnd: Random, n: Int): Array[Int] =
+    Array.fill(n)(rnd.nextInt(10000)).sorted
 
-  for ((name, mk) <- Seq[(String, Array[Long] => TemporalSearch)](
+  for ((name, mk) <- Seq[(String, Array[Int] => TemporalSearch)](
          ("CSS-tree", ks => new CSSTree(ks)),
          ("B+-tree", ks => new BPlusTree(ks)))) {
 
@@ -38,7 +38,7 @@ class TemporalSpec extends AnyFunSuite {
     }
 
     test(s"$name lowerBound handles duplicate keys (first occurrence)") {
-      val keys = Array[Long](5, 5, 5, 7, 7, 9, 9, 9, 9, 9)
+      val keys = Array[Int](5, 5, 5, 7, 7, 9, 9, 9, 9, 9)
       val t = mk(keys)
       assert(t.lowerBound(5) == 0)
       assert(t.lowerBound(6) == 3)
@@ -61,24 +61,25 @@ class TemporalSpec extends AnyFunSuite {
   }
 
   test("CSS-tree supports exact counts; B+-tree declares it does not") {
-    assert(new CSSTree(Array(1L, 2L, 3L)).supportsExactCount)
-    assert(!new BPlusTree(Array(1L, 2L, 3L)).supportsExactCount)
+    assert(new CSSTree(Array(1, 2, 3)).supportsExactCount)
+    assert(!new BPlusTree(Array(1, 2, 3)).supportsExactCount)
   }
 
   test("B+-tree memory exceeds CSS-tree memory on the same keys") {
-    val keys = Array.tabulate(10000)(_.toLong)
+    val keys = Array.tabulate(10000)(identity)
     assert(new BPlusTree(keys).memoryBytes > new CSSTree(keys).memoryBytes)
   }
 
-  test("TemporalRecords.fromRows sorts by timestamp and keeps columns aligned") {
-    val rows = Array(
-      TemporalRecords.Row(30, 2, 102, 3.0, 9.0, 1, 0),
-      TemporalRecords.Row(10, 1, 100, 1.0, 1.0, 0, 0),
-      TemporalRecords.Row(20, 3, 101, 2.0, 4.0, 2, 1),
-    )
-    val r = TemporalRecords.fromRows(rows)
-    assert(r.t.toSeq == Seq(10L, 20L, 30L))
-    assert(r.d.toSeq == Seq(100L, 101L, 102L))
+  test("TemporalRecords.timeOrder sorts by timestamp and keeps columns aligned") {
+    // Leaves in build order: (t, isa, d, tt, a, seq, w).
+    val t = Array(30, 10, 20)
+    val order = TemporalRecords.timeOrder(t)
+    val r = new TemporalRecords(order.map(t), order.map(Array(2, 1, 3)), order.map(Array(102, 100, 101)),
+      order.map(Array(3.0, 1.0, 2.0)), order.map(Array(9.0, 1.0, 4.0)),
+      order.map(Array[Short](1, 0, 2)), order.map(Array[Short](0, 0, 1)))
+    assert(order.toSeq == Seq(1, 2, 0))
+    assert(r.t.toSeq == Seq(10, 20, 30))
+    assert(r.d.toSeq == Seq(100, 101, 102))
     assert(r.isa.toSeq == Seq(1, 3, 2))
     assert(r.tt.toSeq == Seq(1.0, 2.0, 3.0))
     assert(r.a.toSeq == Seq(1.0, 4.0, 9.0))
@@ -87,8 +88,18 @@ class TemporalSpec extends AnyFunSuite {
     assert(r.minKey == 10 && r.maxKey == 30)
   }
 
+  test("TemporalRecords.timeOrder keeps equal entry times in build order") {
+    val t = Array(7, 3, 7, 0, 3, 7, Int.MaxValue, 0)
+    assert(TemporalRecords.timeOrder(t).toSeq == Seq(3, 7, 1, 4, 0, 2, 5, 6))
+    val rnd = new Random(33)
+    val many = Array.fill(5000)(rnd.nextInt(50))
+    assert(TemporalRecords.timeOrder(many).toSeq == many.indices.sortBy(many(_)))
+  }
+
   test("empty records have sane min/max sentinels") {
-    val r = TemporalRecords.fromRows(Array.empty)
+    assert(TemporalRecords.timeOrder(Array.empty).isEmpty)
+    val r = new TemporalRecords(Array.empty, Array.empty, Array.empty, Array.empty, Array.empty,
+      Array.empty, Array.empty)
     assert(r.size == 0 && r.minKey > r.maxKey)
   }
 }
