@@ -23,8 +23,8 @@ case object BtForest extends TreeType
   * records.
   *
   * `answerLadder` is Procedure 5 built from Procedure 2 (backward search),
-  * Procedure 3 (`scanLadder` over the first edge) and Procedure 4 (`probe`,
-  * which finds each match's last-edge leaf through `leafPos`).
+  * Procedure 3 (`scanLadder` over the first edge) and Procedure 4
+  * (`probeMap`, which finds each match's last-edge leaf through `leafPos`).
   *
   * `firstEntry(w)` / `lastEntry(w)` bound the leaf entry times of partition w,
   * so a fixed-interval query can skip the partitions it cannot match.
@@ -42,8 +42,6 @@ final class SNTIndex(
     val tminGlobal: Long,
     val tmaxGlobal: Long,
 ) extends Serializable {
-
-  import SNTIndex.SeqBits
 
   /** Procedure 2 across temporal partitions: one ISA range per partition. */
   def pathRanges(path: IndexedSeq[Int]): Array[(Int, Int)] = rangesMeeting(path, Long.MinValue, Long.MaxValue)
@@ -81,15 +79,14 @@ final class SNTIndex(
     s
   }
 
-  /** Procedure 3 — scan the first edge's temporal index, keep the first β
+  /** Procedure 3 — scan the first edge's temporal index and keep the first β
     * records matching the temporal predicate, the ISA range of the record's
-    * partition, and the user filter; map (d, seq) → a − TT. The one-rung
-    * ladder of `scanLadder`.
+    * partition, and the user filter: the map M, as their positions. The
+    * one-rung ladder of `scanLadder`.
     */
   def buildMap(edge: Int, ranges: Array[(Int, Int)], interval: TimeInterval,
-               user: Option[Int], beta: Int,
-               work: ScanWork = new ScanWork): collection.mutable.LongMap[Double] =
-    scanLadder(edge, ranges, Array(interval), user, beta, work).map(0, beta)
+               user: Option[Int], beta: Int, work: ScanWork = new ScanWork): SNTIndex.Matches =
+    scanLadder(edge, ranges, Array(interval), user, beta, work).matches(0, beta)
 
   /** Procedure 3 for the rungs of a ladder (Procedure 1): nested windows of
     * one kind, innermost first. One scan tags each record that passes the
@@ -151,39 +148,24 @@ final class SNTIndex(
     else user.isEmpty || users(recs.d(i)) == user.get
   }
 
-  /** Procedure 4 for a map `buildMap` returned for a path of `l` segments
-    * whose last edge is `edge`: the path travel times of its matches, in
-    * `probe`'s order.
-    */
-  def probeMap(edge: Int, l: Int, m: collection.mutable.LongMap[Double],
-               work: ScanWork = new ScanWork): Array[Double] = {
-    val d = new Array[Int](m.size)
-    val seq = new Array[Int](m.size)
-    val b = new Array[Double](m.size)
-    var j = 0
-    m.foreachEntry { (k, v) =>
-      d(j) = (k >>> SeqBits).toInt
-      seq(j) = (k & ((1L << SeqBits) - 1)).toInt
-      b(j) = v
-      j += 1
-    }
-    probe(edge, l, new SNTIndex.Matches(d, seq, b), work)
-  }
-
-  /** Procedure 4 by position. Match j starts an occurrence of an l-segment
-    * path at trajectory d's traversal seq — its first-edge leaf lies in the
-    * path's ISA range — so the occurrence ends at traversal seq + l − 1, whose
-    * leaf on the last edge `edge` is at position leafPos(trajOff(d) + seq +
-    * l − 1). Its travel time is that leaf's a minus b(j). Sorted by last-edge
+  /** Procedure 4 by position, for a map M that Procedure 3 built on the
+    * first edge of a path of `l` segments whose last edge is `edge`. The
+    * match at first-edge position p is trajectory d entering the path at its
+    * traversal seq — that leaf lies in the path's ISA range — so the
+    * occurrence ends at traversal seq + l − 1, whose leaf on `edge` is at
+    * position leafPos(trajOff(d) + seq + l − 1). Its travel time is that
+    * leaf's a minus (a − TT) of the first-edge leaf. Sorted by last-edge
     * position, the times come in the order a scan of the last edge finds them.
     */
-  private def probe(edge: Int, l: Int, m: SNTIndex.Matches, work: ScanWork): Array[Double] = {
-    val recs = records(edge)
+  def probeMap(edge: Int, l: Int, m: SNTIndex.Matches, work: ScanWork = new ScanWork): Array[Double] = {
+    val first = m.recs
+    val last = records(edge)
     val n = m.size
-    val found = new Array[Long](n) // last-edge position · 2^32 + match index
+    val found = new Array[Long](n) // last-edge position · 2^32 + first-edge position
     var j = 0
     while (j < n) {
-      found(j) = (leafPos(trajOff(m.d(j)) + m.seq(j) + l - 1).toLong << 32) | j
+      val p = m.pos(j)
+      found(j) = (leafPos(trajOff(first.d(p)) + first.seq(p) + l - 1).toLong << 32) | p
       j += 1
     }
     work.lastEdgeRecords += n
@@ -191,7 +173,8 @@ final class SNTIndex(
     val out = new Array[Double](n)
     j = 0
     while (j < n) {
-      out(j) = recs.a((found(j) >>> 32).toInt) - m.b(found(j).toInt)
+      val p = found(j).toInt
+      out(j) = last.a((found(j) >>> 32).toInt) - (first.a(p) - first.tt(p))
       j += 1
     }
     out
@@ -251,7 +234,7 @@ final class SNTIndex(
       var k = 0
       while (k < rungs.length) {
         // Each record of M starts an occurrence of the path, so X is non-empty.
-        if (scan.held(k) >= need) return (k, probe(q.path.last, q.length, scan.matches(k, cap), work))
+        if (scan.held(k) >= need) return (k, probeMap(q.path.last, q.length, scan.matches(k, cap), work))
         k += 1
       }
     }
@@ -314,48 +297,28 @@ object SNTIndex {
       * order — the records a scan of rung k alone keeps.
       */
     def matches(k: Int, cap: Int): Matches = {
-      val n = math.min(held(k), cap)
-      val m = new Matches(new Array[Int](n), new Array[Int](n), new Array[Double](n))
+      val m = new Matches(recs, new Array[Int](math.min(held(k), cap)))
       var i = 0
       var j = 0
-      while (i < n) {
-        if (tag(j) <= k) {
-          val p = pos(j)
-          m.d(i) = recs.d(p)
-          m.seq(i) = recs.seq(p)
-          m.b(i) = recs.a(p) - recs.tt(p)
-          i += 1
-        }
+      while (i < m.size) {
+        if (tag(j) <= k) { m.pos(i) = pos(j); i += 1 }
         j += 1
       }
       m
     }
-
-    /** `matches(k, cap)` as the (d, seq) → a − TT map of Procedure 3. */
-    def map(k: Int, cap: Int): collection.mutable.LongMap[Double] = {
-      val m = matches(k, cap)
-      val out = collection.mutable.LongMap.empty[Double]
-      var i = 0
-      while (i < m.size) { out.update(key(m.d(i), m.seq(i)), m.b(i)); i += 1 }
-      out
-    }
   }
 
-  /** A map M of Procedure 3 as columns in first-edge position order: match j
-    * is trajectory d(j) entering the path at its traversal seq(j), and b(j)
-    * is a − TT of that first-edge leaf.
+  /** A map M of Procedure 3: the ascending positions `pos` of the first
+    * edge's records `recs` that it keeps. The record at each position is a
+    * trajectory d entering the path at its traversal seq.
     */
-  final class Matches(val d: Array[Int], val seq: Array[Int], val b: Array[Double]) {
-    def size: Int = d.length
+  final class Matches(val recs: TemporalRecords, val pos: Array[Int]) {
+    def size: Int = pos.length
   }
 
-  // The (d, seq) key of Procedures 3–4: d < 2^31 and seq < 2^SeqBits, so distinct pairs never share a key.
-  @inline private def key(d: Int, seq: Int): Long = (d.toLong << SeqBits) | seq.toLong
-
-  /** Bits of the segment position `seq` in the (d, seq) keys of Procedures 3–4.
-    * Routes are a few hundred segments; `build` rejects longer trajectories
-    * than the bits can hold, whose keys would alias. The bound also keeps seq
-    * within the `Short` leaf column.
+  /** Bits of a trajectory's segment position `seq`: routes are a few hundred
+    * segments, and `build` rejects trajectories of 2^SeqBits segments or
+    * more, so every seq fits the `Short` leaf column.
     */
   private val SeqBits = 14
 

@@ -100,7 +100,11 @@ final class TripQueryProcessor(
         queue = splitter(qi.copy(interval = ladder.last)) ++: rest
       }
     }
-    require(queue.isEmpty, s"tripQuery did not terminate within $maxSteps steps")
+    require(queue.isEmpty, {
+      val h = queue.head
+      s"tripQuery did not terminate within $maxSteps steps: sub-query [${h.startIdx}, ${h.endIdx}) " +
+        s"with interval ${h.interval}, user ${h.user}, β ${h.beta} and relaxed = ${h.relaxed} is still queued"
+    })
     val sorted = done.sortBy(_.startIdx).toVector
     val hist = Histogram.convolveAll(sorted.map(r => Histogram.create(r.x, bucketH)))
     TripResult(sorted, hist, calls, skips, work.firstEdgeRecords, work.lastEdgeRecords)

@@ -32,12 +32,6 @@ final class FMIndex(val n: Int, val sigma: Int, val counts: Array[Int],
     (st, ed)
   }
 
-  /** Exact number of occurrences of `path` across all indexed trajectories. */
-  def countPath(path: IndexedSeq[Int]): Int = {
-    val (st, ed) = pathRange(path)
-    ed - st
-  }
-
   def memoryBytes: Long = counts.length.toLong * 4 + bwtTree.memoryBytes + 32
 }
 

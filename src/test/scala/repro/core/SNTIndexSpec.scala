@@ -308,7 +308,7 @@ class SNTIndexSpec extends AnyFunSuite {
       for (k <- rungs.indices) {
         val alone = index.buildMap(path.head, ranges, rungs(k), user, cap)
         assert(math.min(scan.held(k), cap) == alone.size, s"$clue k=$k")
-        assert(scan.map(k, cap) == alone, s"$clue k=$k")
+        assert(scan.matches(k, cap).pos.toSeq == alone.pos.toSeq, s"$clue k=$k")
       }
       // The ladder examines exactly the records the scan of its first rung examines.
       val first = new ScanWork
@@ -338,8 +338,6 @@ class SNTIndexSpec extends AnyFunSuite {
   // ---- Procedure 3 against a brute-force filter of the leaf columns --------
 
   test("buildMap keeps the first cap records passing every test and examines the records up to them") {
-    val SeqBits = 14 // a (d, seq) key holds seq in its low 14 bits, d above them
-    val seqMask = (1L << SeqBits) - 1
     val day = TimeInterval.DaySec
     val kinds = collection.mutable.Map.empty[String, Int].withDefaultValue(0)
     for ((days, index) <- Seq(None -> fullIdx, Some(7) -> byDays.toMap.apply(7)); (path, u) <- samplePaths(110, 30)) {
@@ -358,7 +356,6 @@ class SNTIndexSpec extends AnyFunSuite {
           val (st, ed) = ranges(recs.w(i))
           iv.contains(recs.t(i)) && recs.isa(i) >= st && recs.isa(i) < ed && user.forall(_ == index.users(recs.d(i)))
         }.take(cap)
-        val want = kept.map(i => (recs.d(i), recs.seq(i)) -> (recs.a(i) - recs.tt(i))).toMap
         // A fixed window is scanned from its first position, a periodic one
         // from position 0; the scan ends after the cap-th kept record, or
         // else at the window's end.
@@ -369,8 +366,7 @@ class SNTIndexSpec extends AnyFunSuite {
         val last = if (kept.length == cap) kept.last + 1 else end
         val work = new ScanWork
         val m = index.buildMap(path.head, ranges, iv, user, cap, work)
-        val got = m.iterator.map { case (k, v) => ((k >>> SeqBits).toInt, (k & seqMask).toInt) -> v }.toMap
-        assert(got == want, clue)
+        assert(m.pos.toSeq == kept, clue)
         assert(work.firstEdgeRecords == last - from, clue)
         kinds(if (kept.isEmpty) "empty" else if (kept.length == cap) "capped" else "window end") += 1
       }
@@ -389,17 +385,19 @@ class SNTIndexSpec extends AnyFunSuite {
   }
 
   /** Procedure 4 by brute force: the last edge's leaves in position order;
-    * each whose (d, seq + 1 − l) is a key of `m` yields a − m(key).
+    * each whose (d, seq + 1 − l) is the match of `m` at first-edge position p
+    * yields (p, a minus a − TT of the leaf at p).
     */
-  private def lastEdgeScan(index: SNTIndex, edge: Int, l: Int,
-                           m: collection.mutable.LongMap[Double]): Seq[Double] = {
+  private def lastEdgeScan(index: SNTIndex, edge: Int, l: Int, m: SNTIndex.Matches): Seq[(Int, Double)] = {
+    val first = m.recs
+    val byKey = m.pos.map(p => (first.d(p), first.seq(p).toInt) -> p).toMap
     val recs = index.records(edge)
     if (recs == null) Seq.empty
     else for {
       i <- 0 until recs.size
       s = recs.seq(i) + 1 - l if s >= 0
-      b <- m.get((recs.d(i).toLong << 14) | s)
-    } yield recs.a(i) - b
+      p <- byKey.get((recs.d(i), s))
+    } yield (p, recs.a(i) - (first.a(p) - first.tt(p)))
   }
 
   test("probeMap and answerLadder return the last-edge scan's travel times, in its order") {
@@ -407,6 +405,10 @@ class SNTIndexSpec extends AnyFunSuite {
     // A trajectory that traverses ⟨A, B, E⟩ twice: its last edge E occurs twice.
     val loop = Traj(9, u1, Array(A, B, E, A, B, E), Array(20L, 23L, 27L, 31L, 35L, 40L),
                     Array(3.0, 4.0, 4.5, 4.0, 5.0, 4.0))
+    // Two trajectories over ⟨A, B, E⟩ where the later one on A is the earlier
+    // one on B and E, so the last edge's order differs from the first edge's.
+    val overtake = Array(Traj(10, u1, Array(A, B, E), Array(50L, 60L, 63L), Array(10.0, 3.0, 4.0)),
+                         Traj(11, u1, Array(A, B, E), Array(52L, 54L, 57L), Array(2.0, 3.0, 4.0)))
     val paperPaths = Seq(Vector(E), Vector(B, E), Vector(A, B, E), Vector(E, A, B, E), Vector(A, B))
     val cases = Seq(None, Some(7)).flatMap { days =>
       val index = SNTIndex.build(tNet, tTrajs, CssForest, days)
@@ -419,7 +421,7 @@ class SNTIndexSpec extends AnyFunSuite {
       }
       paths.map(p => (s"days=$days", index, p))
     } ++ {
-      val index = SNTIndex.build(paperNetwork, paperTrajs :+ loop, CssForest, None)
+      val index = SNTIndex.build(paperNetwork, (paperTrajs :+ loop) ++ overtake, CssForest, None)
       paperPaths.map(p => ("paper+loop", index, (p, 20L, u1)))
     }
     val splitter = new Splitter(Vector(15L, 30L, 45L, 60L, 90L, 120L).map(_ * 60L), SigmaR, cases.head._2)
@@ -440,26 +442,28 @@ class SNTIndexSpec extends AnyFunSuite {
       val ranges = index.pathRanges(path, ladder.last)
       for (iv <- ladder) {
         val m = index.buildMap(path.head, ranges, iv, user, cap)
-        val want = lastEdgeScan(index, path.last, l, m)
+        val want = lastEdgeScan(index, path.last, l, m).map(_._2)
         assert(index.probeMap(path.last, l, m).toSeq == want, s"$clue iv=$iv")
         assert(want.length == m.size, s"$clue iv=$iv")
       }
       val q = Spq(path, ladder.head, user, beta, 0, relaxed)
       val (hit, x) = index.answerLadder(q, ladder)
       if (hit >= 0) {
-        val m = index.scanLadder(path.head, ranges, ladder, user, cap).map(hit, cap)
-        if (m.isEmpty) assert(l == 1 && x.toSeq == Seq(index.net.estimateTT(path.head)), clue)
+        val m = index.scanLadder(path.head, ranges, ladder, user, cap).matches(hit, cap)
+        if (m.size == 0) assert(l == 1 && x.toSeq == Seq(index.net.estimateTT(path.head)), clue)
         else {
-          assert(x.toSeq == lastEdgeScan(index, path.last, l, m), clue)
+          val scan = lastEdgeScan(index, path.last, l, m)
+          assert(x.toSeq == scan.map(_._2), clue)
           kinds(if (m.size == 1) "one" else if (x.toSeq == x.sorted.toSeq) "sorted" else "unsorted") += 1
-          if (name == "paper+loop" && m.keysIterator.exists(k => (k >>> 14) == paperTrajs.length)) kinds("loop") += 1
+          if (scan.map(_._1) != m.pos.toSeq) kinds("overtaken") += 1
+          if (name == "paper+loop" && m.pos.exists(p => m.recs.d(p) == paperTrajs.length)) kinds("loop") += 1
           if (ladder.head == FixedInterval(0, index.tmaxGlobal) && relaxed && user.isEmpty && beta.isEmpty)
             assert(x.length == index.countPath(path), clue) // M is every occurrence
         }
       }
     }
     info(kinds.toSeq.sorted.mkString(", "))
-    for (kind <- Seq("one", "sorted", "unsorted", "loop")) assert(kinds(kind) > 10, kind)
+    for (kind <- Seq("one", "sorted", "unsorted", "loop", "overtaken")) assert(kinds(kind) > 10, kind)
   }
 
   test("Procedure 4 reads one last-edge leaf per match") {

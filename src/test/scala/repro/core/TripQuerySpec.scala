@@ -144,6 +144,17 @@ class TripQuerySpec extends AnyFunSuite {
     }
   }
 
+  test("a trip query that does not terminate names its stuck sub-query") {
+    // 1 s steps make the widen ladder ~3 000 rungs long, and β is out of reach,
+    // so the one-segment query spends its 200 · (1 + 1) steps widening.
+    val splitter = new Splitter((1L to 3000L).toVector, SigmaR, idx)
+    val iv = PeriodicInterval(100, 101)
+    val q = Spq(Vector(A), iv, Some(u1), Some(1000), 0)
+    val e = intercept[IllegalArgumentException](new TripQueryProcessor(idx, splitter).run(q, NonePartitioner))
+    assert(e.getMessage == "requirement failed: tripQuery did not terminate within 400 steps: sub-query [0, 1) " +
+      s"with interval ${splitter.ladder(iv)(400)}, user ${Some(u1)}, β Some(1000) and relaxed = false is still queued")
+  }
+
   test("run matches the reference Procedure 6 on TestScale queries (every π, σ, workload and layout)") {
     val s = Experiments.TestScale
     val net = NetworkGen.generate(s.gridW, s.gridH, s.seed)
