@@ -223,6 +223,7 @@ final class SNTIndex(
   def answerLadder(q: Spq, rungs: Array[_ <: TimeInterval],
                    work: ScanWork = new ScanWork): (Int, Array[Double]) = {
     requireEdges(q.path)
+    require(rungs.nonEmpty, s"answerLadder needs at least one rung, got none for path ${q.path}")
     val outer = rungs(rungs.length - 1)
     val ranges = pathRanges(q.path, outer)
     val occurs = ranges.exists { case (st, ed) => st < ed }
@@ -342,6 +343,8 @@ object SNTIndex {
       require(bad < 0, s"trajectory ${t.id} has edge id ${t.edges(bad)} at position $bad, outside [1, ${net.numEdges}]")
       val badT = t.times.indexWhere(s => s < 0 || s > Int.MaxValue)
       require(badT < 0, s"trajectory ${t.id} has entry time ${t.times(badT)} at position $badT, outside [0, 2^31)")
+      val badTT = t.tts.indexWhere(tt => !(tt > 0 && tt < Double.PositiveInfinity))
+      require(badTT < 0, s"trajectory ${t.id} has travel time ${t.tts(badTT)} at position $badTT; it must be finite and > 0")
       leaves += t.length
     }
     require(leaves <= Int.MaxValue, s"$leaves traversals; at most ${Int.MaxValue} are supported")

@@ -43,9 +43,10 @@ final case class TripResult(
   * the completed predecessors' minima/ranges, relax failing sub-queries with
   * Procedure 1 (σ), and convolve the per-sub-query histograms.
   *
-  * When a cardinality estimator is supplied, a sub-query whose estimate β̂
-  * falls below β is relaxed without touching the temporal indexes (§4.4):
-  * its rung counts as an estimator skip and cannot be accepted.
+  * When a cardinality estimator is supplied, a non-relaxed sub-query skips
+  * the rungs of its ladder before the first whose estimate β̂ reaches β
+  * without touching the temporal indexes (§4.4): each counts as an
+  * estimator skip and cannot be accepted.
   */
 final class TripQueryProcessor(
     val index: SNTIndex,
@@ -56,11 +57,13 @@ final class TripQueryProcessor(
 
   def run(q: Spq, pi: Partitioner): TripResult = {
     index.requireEdges(q.path)
-    var queue: List[Spq] = pi(q, index.net).sortBy(_.startIdx).toList
-    val done = collection.mutable.ArrayBuffer.empty[SubResult]
+    // π emits sub-queries in path order and a split's halves go to the head
+    // of the queue, so sub-queries complete in path order.
+    var queue: List[Spq] = pi(q, index.net).toList
+    val done = Vector.newBuilder[SubResult]
     // S and R of shift-and-enlarge: sums of the minima and ranges of every
-    // accepted sub-result. Sub-queries complete in path order, so all of them
-    // precede the sub-query being dispatched.
+    // accepted sub-result, all of which precede the sub-query being
+    // dispatched. Both are 0 until the first sub-result is accepted.
     var sumMin = 0.0
     var sumRange = 0.0
     var calls = 0
@@ -78,18 +81,20 @@ final class TripQueryProcessor(
       // shifted rungs stay nested.
       val ladder = splitter.ladder(qi.interval).take(maxSteps - guard)
       val rungs = ladder.map {
-        case p: PeriodicInterval if qi.startIdx > 0 => p.shiftAndEnlarge(sumMin, sumRange)
+        case p: PeriodicInterval => p.shiftAndEnlarge(sumMin, sumRange)
         case r => r
       }.toArray
-      val sent = dispatched(qi, rungs)
-      val (hit, x) = if (sent.isEmpty) (-1, null) else index.answerLadder(qi, sent.map(rungs), work)
+      val first = (estimator, qi.beta) match {
+        case (Some(est), Some(b)) if !qi.relaxed => est.firstRung(qi, rungs, b)
+        case _ => 0
+      }
+      val (hit, x) = if (first == rungs.length) (-1, null) else index.answerLadder(qi, rungs.drop(first), work)
       // The rungs up to the accepted one, or all of them, each took a step:
-      // an index call if sent, an estimator skip if not.
-      val steps = if (hit >= 0) sent(hit) + 1 else rungs.length
-      val ladderCalls = if (hit >= 0) hit + 1 else sent.length
+      // an estimator skip before `first`, an index call from it on.
+      val steps = if (hit >= 0) first + hit + 1 else rungs.length
       guard += steps
-      calls += ladderCalls
-      skips += steps - ladderCalls
+      skips += first
+      calls += steps - first
       if (hit >= 0) {
         val r = SubResult(qi.startIdx, qi.endIdx, x, qi.relaxed)
         done += r
@@ -105,19 +110,8 @@ final class TripQueryProcessor(
       s"tripQuery did not terminate within $maxSteps steps: sub-query [${h.startIdx}, ${h.endIdx}) " +
         s"with interval ${h.interval}, user ${h.user}, β ${h.beta} and relaxed = ${h.relaxed} is still queued"
     })
-    val sorted = done.sortBy(_.startIdx).toVector
-    val hist = Histogram.convolveAll(sorted.map(r => Histogram.create(r.x, bucketH)))
-    TripResult(sorted, hist, calls, skips, work.firstEdgeRecords, work.lastEdgeRecords)
-  }
-
-  /** The rungs sent to the index, by position: every rung, except that with
-    * an estimator a non-relaxed sub-query skips each rung whose estimate β̂
-    * falls below β. c_P does not depend on the window, so it is counted once.
-    */
-  private def dispatched(qi: Spq, rungs: Array[TimeInterval]): Array[Int] = (estimator, qi.beta) match {
-    case (Some(est), Some(b)) if !qi.relaxed =>
-      val cP = index.countPath(qi.path)
-      rungs.indices.filterNot(k => est.estimate(qi.copy(interval = rungs(k)), cP) < b).toArray
-    case _ => rungs.indices.toArray
+    val sub = done.result()
+    val hist = Histogram.convolveAll(sub.map(r => Histogram.create(r.x, bucketH)))
+    TripResult(sub, hist, calls, skips, work.firstEdgeRecords, work.lastEdgeRecords)
   }
 }

@@ -54,7 +54,7 @@ object EvalRunner {
     val rows = sc.parallelize(queries.toIndexedSeq, nPart).map { tr =>
       val index = bIndex.value
       val splitter = new Splitter(DefaultA, sigma, index)
-      val est = estimatorMode.map(m => new CardinalityEstimator(index, Some(bStore.value), m))
+      val est = estimatorMode.map(m => new CardinalityEstimator(index, bStore.value, m))
       val proc = new TripQueryProcessor(index, splitter, 10.0, est)
       val q = Workload.baseSpq(tr, qt, DefaultA.head, beta)
       val t0 = System.nanoTime()
@@ -126,7 +126,7 @@ object EvalRunner {
     */
   def qErrorOfMode(index: SNTIndex, store: HistogramStore, mode: EstimatorMode,
                    queries: Array[Traj], qt: Workload.QueryType, alphaMin: Long): Double = {
-    val est = new CardinalityEstimator(index, Some(store), mode)
+    val est = new CardinalityEstimator(index, store, mode)
     var sum = 0.0
     var cnt = 0
     for (tr <- queries) {

@@ -10,11 +10,6 @@ final case class Histogram(h: Double, counts: Map[Int, Double]) {
 
   def bucketOf(x: Double): Int = math.floor(x / h).toInt
 
-  /** Discrete convolution H ∗ H′ (§2.3): bucket indexes add, counts multiply.
-    * Matches the paper's worked example (H1∗H2 over ⟨A,B⟩/⟨E⟩).
-    */
-  def convolve(o: Histogram): Histogram = Histogram.convolveAll(Seq(this, o))
-
   /** Smoothed discrete pdf mass of §5.3.3: γ·f(x,H) + (1−γ)·uniform mass over
     * [tmin, tmax), where f is the bucket's fraction of the total mass.
     */
@@ -29,11 +24,9 @@ final case class Histogram(h: Double, counts: Map[Int, Double]) {
 }
 
 object Histogram {
-  /** createHistogram(X) of Procedure 6: bucket the raw travel times. */
-  def create(xs: Iterable[Double], h: Double): Histogram = create(xs.toArray, h)
-
-  /** createHistogram(X) over a primitive sample: sort the bucket ids and count
-    * runs. Counts are sums of 1.0, so they are exact.
+  /** createHistogram(X) of Procedure 6: bucket the raw travel times by
+    * sorting their bucket ids and counting runs. Counts are sums of 1.0, so
+    * they are exact.
     */
   def create(xs: Array[Double], h: Double): Histogram = {
     val ids = new Array[Int](xs.length)
@@ -88,7 +81,8 @@ object Histogram {
     new Dense(a.base + b.base, c, has)
   }
 
-  /** Convolution of a non-empty sequence (H = H1 ∗ … ∗ Hk), left to right.
+  /** Discrete convolution H = H1 ∗ … ∗ Hk (§2.3) of a non-empty sequence,
+    * left to right: bucket indexes add, counts multiply.
     * Each histogram becomes one dense array; the result map is built once.
     * While every count stays an integer below 2^53 the result is exact, so it
     * does not depend on the summation order.

@@ -27,13 +27,16 @@ final class HistogramStore(val bucketSec: Int,
   /** Total traversal count of an edge (summed over partitions). */
   def totalOf(edge: Int): Long = totals.getOrElse(edge, 0L)
 
-  /** Mass of edge entries with time-of-day in [ts, te) seconds-of-day;
-    * wrap-aware (te may be ≤ ts meaning the window crosses midnight),
-    * partially covered buckets counted proportionally.
+  /** Mass of edge entries whose time of day falls in the periodic window
+    * [ts, te), seconds on the time line as a `PeriodicInterval` holds them:
+    * nothing when te ≤ ts, the edge's total when the window spans a day or
+    * more, and otherwise the window reduced mod one day, which may cross
+    * midnight. Partially covered buckets are counted proportionally.
     */
   def massInTod(edge: Int, ts: Long, te: Long): Double = {
     val arrs = byEdge.getOrElse(edge, Array.empty[Array[Int]])
-    if (arrs.isEmpty) return 0.0
+    if (arrs.isEmpty || te <= ts) return 0.0
+    if (te - ts >= DaySec) return totalOf(edge).toDouble
     def massRange(lo: Double, hi: Double): Double = {
       var m = 0.0
       var b = math.max(0, math.floor(lo / bucketSec).toInt)
@@ -49,7 +52,6 @@ final class HistogramStore(val bucketSec: Int,
     val s = ((ts % DaySec) + DaySec) % DaySec
     val e = ((te % DaySec) + DaySec) % DaySec
     if (s < e) massRange(s.toDouble, e.toDouble)
-    else if (s == e) totalOf(edge).toDouble // full-day window
     else massRange(s.toDouble, DaySec.toDouble) + massRange(0.0, e.toDouble)
   }
 

@@ -49,12 +49,6 @@ final class BPlusTree(keys: Array[Int]) extends TemporalSearch {
     0 // unreachable
   }
 
-  /** The paper's B+-tree variant does not maintain subtree sizes, so the
-    * BT-Fast/BT-Acc estimator modes must approximate the time-frame
-    * selectivity with Eq. 3 instead of counting (§4.4).
-    */
-  def supportsExactCount: Boolean = false
-
   // ~48 bytes object overhead per node + separator/child arrays for inners.
   def memoryBytes: Long = nodeCount.toLong * 48 + {
     def sz(n: Node): Long = n match {

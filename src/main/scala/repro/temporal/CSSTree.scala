@@ -48,13 +48,8 @@ final class CSSTree(keys: Array[Int]) extends TemporalSearch {
     val end = math.min(keys.length, block + Node)
     var i = block
     while (i < end && keys(i) < key) i += 1
-    // If the whole tree's keys are < key, i lands at keys.length.
-    if (i == end && end == keys.length) keys.length
-    else if (i == end) end // node exhausted but maxima said key ≤ node max ⇒ unreachable
-    else i
+    i // keys.length when every key is < key
   }
-
-  def supportsExactCount: Boolean = true
 
   def memoryBytes: Long = levels.map(_.length.toLong * 4 + 16).sum + 32
 }

@@ -52,10 +52,5 @@ object TemporalRecords {
 trait TemporalSearch extends Serializable {
   /** First position with t ≥ key. */
   def lowerBound(key: Long): Int
-  /** Whether exact range counts are part of the variant's API contract
-    * (CSS-trees: yes, used by the CSS-Fast/CSS-Acc estimator modes, §4.4;
-    * B+-trees: no, the BT modes fall back to Eq. 3).
-    */
-  def supportsExactCount: Boolean
   def memoryBytes: Long
 }

@@ -502,6 +502,20 @@ class SNTIndexSpec extends AnyFunSuite {
              .toSeq == Seq(7.0))
   }
 
+  test("build rejects a travel time that is not finite or not positive") {
+    for (tt <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -5.0, 0.0)) {
+      val bad = Traj(9, u1, Array(A, B), Array(0L, 3L), Array(3.0, tt))
+      val e = intercept[IllegalArgumentException](SNTIndex.build(paperNetwork, paperTrajs :+ bad))
+      assert(e.getMessage.contains(s"trajectory 9 has travel time $tt at position 1; it must be finite and > 0"))
+    }
+  }
+
+  test("answerLadder rejects an empty ladder") {
+    val q = Spq(Vector(A, B), PeriodicInterval(0, 900), None, Some(2), 0)
+    val e = intercept[IllegalArgumentException](idx.answerLadder(q, Array.empty[TimeInterval]))
+    assert(e.getMessage.contains("answerLadder needs at least one rung"))
+  }
+
   test("Unix entry times: FULL and 7-day indexes equal the naive scan (TestScale)") {
     val (tNet, tTrajs) = testScaleTrajs
     val shift = 1546300800L + 12345L // 2019-01-01 00:00 UTC plus a part of a day

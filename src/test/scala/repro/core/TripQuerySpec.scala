@@ -2,9 +2,9 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.eval.{Experiments, Workload}
-import repro.hist.Histogram
+import repro.hist.{Histogram, HistogramStore}
 import repro.network.NetworkGen
-import repro.testutil.{Fixtures, ReferenceTripQuery}
+import repro.testutil.{Fixtures, InMemoryStore, ReferenceTripQuery}
 import repro.traj.TrajectoryGen
 
 import scala.util.Random
@@ -15,6 +15,8 @@ class TripQuerySpec extends AnyFunSuite {
 
   private val A6: Vector[Long] = Vector(15L, 30L, 45L, 60L, 90L, 120L).map(_ * 60L)
   private val idx = SNTIndex.build(paperNetwork, paperTrajs)
+  // The ISA and Fast estimator modes read no time-of-day histogram.
+  private val NoStore = new HistogramStore(600, Map.empty)
   private def proc(m: SplitMethod = SigmaR, est: Option[CardinalityEstimator] = None) =
     new TripQueryProcessor(idx, new Splitter(A6, m, idx), 1.0, est)
 
@@ -70,7 +72,7 @@ class TripQuerySpec extends AnyFunSuite {
 
   test("estimator-gated processing skips index calls when β̂ < β") {
     // ISA-only estimate for ⟨A,B,E⟩ is 2 < β=3 → skipped without dispatch.
-    val est = new CardinalityEstimator(idx, None, IsaOnly)
+    val est = new CardinalityEstimator(idx, NoStore, IsaOnly)
     val q = Spq(Vector(A, B, E), FixedInterval(0, 15), None, Some(3), 0)
     val res = proc(SigmaR, Some(est)).run(q, NonePartitioner)
     assert(res.estimatorSkips >= 1)
@@ -186,7 +188,7 @@ class TripQuerySpec extends AnyFunSuite {
       pi <- Seq[Partitioner](ZonePartitioner, RegularPartitioner(1), NonePartitioner)
       sigma <- Seq(SigmaR, SigmaL)
       est <- if (qt == Workload.Temporal && partitionDays.isEmpty)
-               Seq(None, Some(new CardinalityEstimator(index, None, IsaOnly))) else Seq(None)
+               Seq(None, Some(new CardinalityEstimator(index, NoStore, IsaOnly))) else Seq(None)
     } {
       val p = new TripQueryProcessor(index, new Splitter(A6, sigma, index), 10.0, est)
       val ref = new ReferenceTripQuery(p)
@@ -234,7 +236,7 @@ class TripQuerySpec extends AnyFunSuite {
     var calls = 0
     for {
       mode <- Seq(CssFast, BtFast)
-      est = new CardinalityEstimator(index, None, mode)
+      est = new CardinalityEstimator(index, NoStore, mode)
       qt <- Seq(Workload.Temporal, Workload.UserQ)
       beta <- Seq(3, 20) // β = 3 puts many estimates next to it, so shift-and-enlarge decides skips
       base = sample.toSeq.map(tr => Workload.baseSpq(tr, qt, alphaMin, beta))
@@ -261,6 +263,49 @@ class TripQuerySpec extends AnyFunSuite {
       calls += got.indexCalls
     }
     assert(runs == 2 * 2 * 2 * 50 * 2 * 2)
+    info(s"$runs runs, $skips estimator skips, $calls index calls")
+    assert(skips > runs && calls > runs)
+  }
+
+  test("run matches the reference Procedure 6 with the CSS-Acc estimator (TestScale)") {
+    val s = Experiments.TestScale
+    val net = NetworkGen.generate(s.gridW, s.gridH, s.seed)
+    val trajs = TrajectoryGen.collectTrajs(
+      net, TrajectoryGen.Config(s.numTraj, s.numDrivers, s.numRoutes, s.days, s.seed))
+    val index = SNTIndex.build(net, trajs, CssForest, None)
+    val est = new CardinalityEstimator(index, InMemoryStore(trajs.toSeq, 600), CssAcc)
+    val sample = Workload.sampleQueries(trajs, s.numQueries, s.seed + 3)
+    val alphaMin = A6.head
+    var runs = 0
+    var skips = 0
+    var calls = 0
+    for {
+      qt <- Seq(Workload.Temporal, Workload.UserQ)
+      beta <- Seq(3, 20)
+      base = sample.toSeq.map(tr => Workload.baseSpq(tr, qt, alphaMin, beta))
+      q <- base ++ base.take(10).map(_.copy(interval = PeriodicInterval(-alphaMin / 2, alphaMin / 2)))
+      pi <- Seq[Partitioner](ZonePartitioner, RegularPartitioner(1))
+      sigma <- Seq(SigmaR, SigmaL)
+    } {
+      val p = new TripQueryProcessor(index, new Splitter(A6, sigma, index), 10.0, Some(est))
+      val clue = s"${qt.name} β=$beta ${pi.name} ${sigma.name} $q"
+      val got = p.run(q, pi)
+      val want = new ReferenceTripQuery(p).run(q, pi)
+      assert(got.sub.length == want.sub.length, clue)
+      for ((g, w) <- got.sub.zip(want.sub)) {
+        assert(g.startIdx == w.startIdx && g.endIdx == w.endIdx && g.relaxed == w.relaxed, clue)
+        assert(java.util.Arrays.equals(g.x, w.x), clue)
+      }
+      assert(got.indexCalls == want.indexCalls, clue)
+      assert(got.estimatorSkips == want.estimatorSkips, clue)
+      assert(got.histogram.counts.keySet == want.histogram.counts.keySet, clue)
+      for ((b, c) <- want.histogram.counts)
+        assert(math.abs(got.histogram.counts(b) - c) <= 1e-13 * c, clue)
+      runs += 1
+      skips += got.estimatorSkips
+      calls += got.indexCalls
+    }
+    assert(runs == 2 * 2 * 50 * 2 * 2)
     info(s"$runs runs, $skips estimator skips, $calls index calls")
     assert(skips > runs && calls > runs)
   }

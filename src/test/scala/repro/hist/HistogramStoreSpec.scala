@@ -2,6 +2,7 @@ package repro.hist
 
 import repro.SparkSpec
 import repro.network.NetworkGen
+import repro.testutil.InMemoryStore
 import repro.traj.{TrajectoryGen}
 
 /** Histogram Store built with DataFrame aggregation, checked against naive
@@ -47,7 +48,7 @@ class HistogramStoreSpec extends SparkSpec {
 
   test("massInTod handles windows that wrap midnight") {
     val busy = (1 to net.numEdges).maxBy(naiveTotal)
-    val m = store.massInTod(busy, 85800L, 600L) // 23:50–00:10
+    val m = store.massInTod(busy, 85800L, 87000L) // 23:50–00:10
     assert(math.abs(m - naiveTodCount(busy, 85800L, 600L)) < 1e-6)
   }
 
@@ -75,6 +76,15 @@ class HistogramStoreSpec extends SparkSpec {
     val busy = (1 to net.numEdges).maxBy(naiveTotal)
     assert(parted.totalOf(busy) == store.totalOf(busy))
     assert(parted.buckets.keys.map(_._2).toSet.size > 1)
+  }
+
+  test("the in-memory test store equals the Spark-built store") {
+    for (bucketSec <- Seq(60, 600)) {
+      val built = HistogramStore.build(spark, ds, bucketSec)
+      val mem = InMemoryStore(trajs.toSeq, bucketSec)
+      assert(mem.buckets.keySet == built.buckets.keySet, s"bucketSec=$bucketSec")
+      for ((k, arr) <- built.buckets) assert(mem.buckets(k).sameElements(arr), s"bucketSec=$bucketSec $k")
+    }
   }
 
   test("memory grows with partition count and with finer buckets") {

@@ -60,11 +60,6 @@ class TemporalSpec extends AnyFunSuite {
     }
   }
 
-  test("CSS-tree supports exact counts; B+-tree declares it does not") {
-    assert(new CSSTree(Array(1, 2, 3)).supportsExactCount)
-    assert(!new BPlusTree(Array(1, 2, 3)).supportsExactCount)
-  }
-
   test("B+-tree memory exceeds CSS-tree memory on the same keys") {
     val keys = Array.tabulate(10000)(identity)
     assert(new BPlusTree(keys).memoryBytes > new CSSTree(keys).memoryBytes)
