@@ -25,15 +25,12 @@ case object BtForest extends TreeType
   * `answerLadder` is Procedure 5 built from Procedure 2 (backward search),
   * Procedure 3 (`scanLadder` over the first edge) and Procedure 4
   * (`probeMap`, which finds each match's last-edge leaf through `leafPos`).
-  *
-  * `firstEntry(w)` / `lastEntry(w)` bound the leaf entry times of partition w,
-  * so a fixed-interval query can skip the partitions it cannot match.
+  * It searches a partition's FM-index only when the first-edge scan reaches
+  * one of that partition's records.
   */
 final class SNTIndex(
     val net: RoadNetwork,
     val partitions: Array[FMIndex],
-    val firstEntry: Array[Long],
-    val lastEntry: Array[Long],
     val records: Array[TemporalRecords],   // indexed by edge id; null = no data
     val search: Array[TemporalSearch],
     val users: Array[Int],                 // U: users(d) drives trajectory d
@@ -44,33 +41,7 @@ final class SNTIndex(
 ) extends Serializable {
 
   /** Procedure 2 across temporal partitions: one ISA range per partition. */
-  def pathRanges(path: IndexedSeq[Int]): Array[(Int, Int)] = rangesMeeting(path, Long.MinValue, Long.MaxValue)
-
-  /** Procedure 2 for a query over `interval`: the ranges of `pathRanges(path)`,
-    * except that a fixed interval [ts, te) maps every partition whose leaf
-    * entry times all miss it to (0, 0) without searching it — no record of
-    * that partition can pass buildMap's temporal predicate, so M is the same.
-    * Periodic intervals keep every partition. So do single segments: their
-    * range costs no rank call, and their empty-range answer (the speed-limit
-    * estimate) is not the β-gated answer of an empty scan.
-    */
-  def pathRanges(path: IndexedSeq[Int], interval: TimeInterval): Array[(Int, Int)] = interval match {
-    case FixedInterval(ts, te) if partitions.length > 1 && path.length > 1 => rangesMeeting(path, ts, te)
-    case _ => pathRanges(path)
-  }
-
-  /** ISA ranges of `path` in the partitions whose entry-time span meets
-    * [ts, te); (0, 0) for the others, which are not searched.
-    */
-  private def rangesMeeting(path: IndexedSeq[Int], ts: Long, te: Long): Array[(Int, Int)] = {
-    val out = new Array[(Int, Int)](partitions.length)
-    var w = 0
-    while (w < partitions.length) {
-      out(w) = if (lastEntry(w) < ts || firstEntry(w) >= te) (0, 0) else partitions(w).pathRange(path)
-      w += 1
-    }
-    out
-  }
+  def pathRanges(path: IndexedSeq[Int]): Array[(Int, Int)] = partitions.map(_.pathRange(path))
 
   /** Exact occurrence count of `path` over all partitions (the c_P of §4.4). */
   def countPath(path: IndexedSeq[Int]): Long = {
@@ -95,10 +66,23 @@ final class SNTIndex(
     * the outermost rung — the positions [lowerBound(ts), lowerBound(te)) of
     * a fixed window, every position for a periodic one — and stops once
     * rung 0 holds `cap` records; every rung's first `cap` records then lie
-    * in the part scanned.
+    * in the part scanned. `ranges` holds the path's ISA range in every
+    * partition.
     */
   def scanLadder(edge: Int, ranges: Array[(Int, Int)], rungs: Array[_ <: TimeInterval],
-                 user: Option[Int], cap: Int, work: ScanWork = new ScanWork): SNTIndex.LadderScan = {
+                 user: Option[Int], cap: Int, work: ScanWork = new ScanWork): SNTIndex.LadderScan =
+    scanLadder(null, edge, ranges, rungs, user, cap, work)
+
+  /** `scanLadder` for `path`, whose first edge is `edge`, where a null slot
+    * of `ranges` marks a partition not searched yet: Procedure 2 runs in
+    * partition w when the scan first reaches a record of w inside the
+    * outermost rung, and its range fills slot w. A partition no such record
+    * reaches cannot add to M, so it is never searched. `path` may be null
+    * when no slot is.
+    */
+  private def scanLadder(path: IndexedSeq[Int], edge: Int, ranges: Array[(Int, Int)],
+                         rungs: Array[_ <: TimeInterval], user: Option[Int], cap: Int,
+                         work: ScanWork): SNTIndex.LadderScan = {
     var k = 1
     while (k < rungs.length) {
       val inner = rungs(k - 1)
@@ -120,7 +104,7 @@ final class SNTIndex(
     var i = from
     while (i < to && inRung(0) < cap) {
       val t = recs.t(i)
-      if (outer.contains(t) && matches(recs, i, ranges, user)) {
+      if (outer.contains(t) && matches(recs, i, path, ranges, user, work)) {
         k = 0
         while (k < last && !rungs(k).contains(t)) k += 1
         if (found == pos.length) {
@@ -141,11 +125,21 @@ final class SNTIndex(
   /** Procedure 3's non-temporal tests: the record lies in its partition's
     * ISA range of the path, and its trajectory passes the user filter.
     */
-  @inline private def matches(recs: TemporalRecords, i: Int, ranges: Array[(Int, Int)],
-                              user: Option[Int]): Boolean = {
-    val (st, ed) = ranges(recs.w(i))
-    if (recs.isa(i) < st || recs.isa(i) >= ed) false
+  @inline private def matches(recs: TemporalRecords, i: Int, path: IndexedSeq[Int], ranges: Array[(Int, Int)],
+                              user: Option[Int], work: ScanWork): Boolean = {
+    val w = recs.w(i)
+    val range = if (ranges(w) != null) ranges(w) else searchPartition(path, w, ranges, work)
+    val isa = recs.isa(i)
+    if (isa < range._1 || isa >= range._2) false
     else user.isEmpty || users(recs.d(i)) == user.get
+  }
+
+  /** Procedure 2 in partition w, stored in slot w of `ranges`. */
+  private def searchPartition(path: IndexedSeq[Int], w: Int, ranges: Array[(Int, Int)],
+                              work: ScanWork): (Int, Int) = {
+    ranges(w) = partitions(w).pathRange(path)
+    work.pathSearches += 1
+    ranges(w)
   }
 
   /** Procedure 4 by position, for a map M that Procedure 3 built on the
@@ -194,9 +188,8 @@ final class SNTIndex(
   def matchCountCapped(path: IndexedSeq[Int], interval: TimeInterval,
                        user: Option[Int], cap: Int): Int = {
     requireEdges(path)
-    val ranges = pathRanges(path, interval)
-    if (ranges.forall { case (st, ed) => st >= ed }) 0
-    else scanLadder(path.head, ranges, Array(interval), user, cap).held(0)
+    scanLadder(path, path.head, new Array[(Int, Int)](partitions.length), Array(interval), user, cap,
+               new ScanWork).held(0)
   }
 
   /** Procedure 5 for the one window of `q`. */
@@ -207,8 +200,8 @@ final class SNTIndex(
     * spq(P, I, f, β), for each window I of a ladder: nested windows,
     * innermost first, that stand in for `q`'s own interval. Procedure 1
     * widens a periodic sub-query through such a ladder; a fixed window is
-    * its own one rung. One FM search over the outermost rung and one
-    * first-edge scan serve every rung. Returns the first rung whose map M
+    * its own one rung. One first-edge scan, which searches each partition
+    * it reaches once, serves every rung. Returns the first rung whose map M
     * passes the β gate, and its X, or else the speed-limit fallback below;
     * (−1, empty) when neither applies.
     *
@@ -225,34 +218,28 @@ final class SNTIndex(
     requireEdges(q.path)
     require(rungs.nonEmpty, s"answerLadder needs at least one rung, got none for path ${q.path}")
     val outer = rungs(rungs.length - 1)
-    val ranges = pathRanges(q.path, outer)
-    val occurs = ranges.exists { case (st, ed) => st < ed }
     val gated = !q.relaxed && q.beta.nonEmpty
-    if (occurs) {
-      val need = if (gated) q.beta.get else 1
-      val cap = q.beta.getOrElse(Int.MaxValue)
-      val scan = scanLadder(q.path.head, ranges, rungs, q.user, cap, work)
-      var k = 0
-      while (k < rungs.length) {
-        // Each record of M starts an occurrence of the path, so X is non-empty.
-        if (scan.held(k) >= need) return (k, probeMap(q.path.last, q.length, scan.matches(k, cap), work))
-        k += 1
-      }
+    val need = if (gated) q.beta.get else 1
+    val cap = q.beta.getOrElse(Int.MaxValue)
+    val scan = scanLadder(q.path, q.path.head, new Array[(Int, Int)](partitions.length), rungs, q.user, cap, work)
+    var k = 0
+    while (k < rungs.length) {
+      // Each record of M starts an occurrence of the path, so X is non-empty.
+      if (scan.held(k) >= need) return (k, probeMap(q.path.last, q.length, scan.matches(k, cap), work))
+      k += 1
     }
     // Procedure 5 line 12: a single fixed-interval segment that the index
     // leaves without a sample gets its speed-limit estimate — under the
     // β gate only when the segment does not occur at all.
-    if (q.length == 1 && !outer.isPeriodic && (!occurs || !gated))
+    if (q.length == 1 && !outer.isPeriodic && (records(q.path.head) == null || !gated))
       (rungs.length - 1, Array(net.estimateTT(q.path(0))))
     else (-1, Array.empty[Double])
   }
 
   // ---- memory accounting (Fig 10a components) ---------------------------
 
-  /** Segment-counter arrays C and the two entry-time bounds, one each per
-    * partition — grows linearly with W.
-    */
-  def memC: Long = partitions.map(_.counts.length.toLong * 4 + 16).sum
+  /** Segment-counter arrays C, one per partition — grows linearly with W. */
+  def memC: Long = partitions.map(_.counts.length.toLong * 4).sum
   /** Wavelet trees, one per partition. */
   def memWT: Long = partitions.map(_.bwtTree.memoryBytes).sum
   /** Associative container U (d → u). */
@@ -277,6 +264,8 @@ final class ScanWork {
   var firstEdgeRecords: Long = 0L
   /** Last-edge leaves read by Procedure 4, one per match. */
   var lastEdgeRecords: Long = 0L
+  /** Partitions in which a scan ran Procedure 2 for its path. */
+  var pathSearches: Long = 0L
 }
 
 object SNTIndex {
@@ -389,24 +378,18 @@ object SNTIndex {
     // Temporal forest. Trajectory i's k-th traversal is leaf trajOff(i) + k.
     // A counting sort on edge lists each edge's leaves in build order;
     // sorting an edge's leaves by entry time, equal times in build order,
-    // gives its records, and leafPos(g) is where leaf g lands. The counting
-    // pass also bounds each partition's leaf entry times.
-    val firstEntry = Array.fill(numW)(Long.MaxValue)
-    val lastEntry = Array.fill(numW)(Long.MinValue)
+    // gives its records, and leafPos(g) is where leaf g lands.
     val trajOff = new Array[Int](trajs.length + 1)
     val leafTraj = new Array[Int](leaves.toInt)
     val edgeStart = new Array[Int](net.numEdges + 2) // edge e's leaves are [edgeStart(e), edgeStart(e + 1))
     i = 0
     while (i < trajs.length) {
       val tr = trajs(i)
-      val wi = w(i)
       trajOff(i + 1) = trajOff(i) + tr.length
       var k = 0
       while (k < tr.length) {
         edgeStart(tr.edges(k) + 1) += 1
         leafTraj(trajOff(i) + k) = i
-        firstEntry(wi) = math.min(firstEntry(wi), tr.times(k))
-        lastEntry(wi) = math.max(lastEntry(wi), tr.times(k))
         k += 1
       }
       i += 1
@@ -466,7 +449,6 @@ object SNTIndex {
       }
       e += 1
     }
-    new SNTIndex(net, fms, firstEntry, lastEntry, records, search, trajs.map(_.user), trajOff, leafPos,
-                 tmin, tmax)
+    new SNTIndex(net, fms, records, search, trajs.map(_.user), trajOff, leafPos, tmin, tmax)
   }
 }

@@ -32,6 +32,7 @@ final case class TripResult(
     estimatorSkips: Int,  // ladder rungs passed over on the estimate alone
     firstEdgeRecords: Long = 0L, // records examined by first-edge scans (Procedure 3)
     lastEdgeRecords: Long = 0L,  // last-edge leaves read by Procedure 4
+    pathSearches: Long = 0L,     // partitions searched by Procedure 2
 ) {
   /** Σ X̄_j — the point estimate compared against the trajectory's true time. */
   def meanEstimate: Double = sub.map(_.mean).sum
@@ -54,6 +55,7 @@ final class TripQueryProcessor(
     val bucketH: Double = 10.0,
     val estimator: Option[CardinalityEstimator] = None,
 ) extends Serializable {
+  Histogram.requireWidth(bucketH)
 
   def run(q: Spq, pi: Partitioner): TripResult = {
     index.requireEdges(q.path)
@@ -112,6 +114,6 @@ final class TripQueryProcessor(
     })
     val sub = done.result()
     val hist = Histogram.convolveAll(sub.map(r => Histogram.create(r.x, bucketH)))
-    TripResult(sub, hist, calls, skips, work.firstEdgeRecords, work.lastEdgeRecords)
+    TripResult(sub, hist, calls, skips, work.firstEdgeRecords, work.lastEdgeRecords, work.pathSearches)
   }
 }

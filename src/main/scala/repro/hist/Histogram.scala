@@ -1,10 +1,12 @@
 package repro.hist
 
 /** Discrete travel-time histogram with fixed bucket width `h` seconds
-  * (§2.3). Bucket i covers [i·h, (i+1)·h). Counts are doubles because
-  * convolution multiplies counts.
+  * (§2.3), finite and > 0. Bucket i covers [i·h, (i+1)·h). Counts are
+  * doubles because convolution multiplies counts.
   */
 final case class Histogram(h: Double, counts: Map[Int, Double]) {
+  Histogram.requireWidth(h)
+
   def total: Double = counts.values.sum
   def isEmpty: Boolean = counts.isEmpty
 
@@ -24,6 +26,13 @@ final case class Histogram(h: Double, counts: Map[Int, Double]) {
 }
 
 object Histogram {
+  /** Rejects a bucket width h that is not finite and > 0: it would put
+    * every travel time in bucket 0 or Int.MaxValue, or number the buckets
+    * backwards.
+    */
+  def requireWidth(h: Double): Unit =
+    require(h > 0 && h < Double.PositiveInfinity, s"bucket width h = $h; it must be finite and > 0")
+
   /** createHistogram(X) of Procedure 6: bucket the raw travel times by
     * sorting their bucket ids and counting runs. Counts are sums of 1.0, so
     * they are exact.

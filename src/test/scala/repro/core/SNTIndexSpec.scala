@@ -181,30 +181,27 @@ class SNTIndexSpec extends AnyFunSuite {
     }
   }
 
-  // ---- partition pruning for fixed intervals ------------------------------
+  // ---- temporal partitions under fixed intervals ---------------------------
 
   private lazy val fullIdx = SNTIndex.build(net, trajs, CssForest, None)
   private lazy val byDays = Seq(1, 7).map(d => d -> SNTIndex.build(net, trajs, CssForest, Some(d)))
   private def partIdx = byDays.map(_._2)
 
-  test("build bounds each partition's leaf entry times") {
-    for ((days, part) <- byDays) {
-      // A trajectory's partition is the rank of its start-time bucket.
-      val bucket = trajs.map(t => (t.t0 - part.tminGlobal) / (86400L * days))
-      val rank = bucket.distinct.sorted.zipWithIndex.toMap
-      val byW = trajs.indices.groupBy(i => rank(bucket(i)))
-      assert(byW.size == part.partitions.length)
-      for ((p, is) <- byW) {
-        assert(part.firstEntry(p) == is.map(i => trajs(i).times.min).min, s"w=$p")
-        assert(part.lastEntry(p) == is.map(i => trajs(i).times.max).max, s"w=$p")
-      }
+  /** Each partition's first and last leaf entry time, from a naive grouping
+    * of the trajectories by the start-time bucket that places them.
+    */
+  private def entrySpans(part: SNTIndex, days: Int): Seq[(Long, Long)] = {
+    val bucket = trajs.map(t => (t.t0 - part.tminGlobal) / (86400L * days))
+    val spans = trajs.indices.groupBy(i => bucket(i)).toSeq.sortBy(_._1).map { case (_, is) =>
+      (is.map(i => trajs(i).times.min).min, is.map(i => trajs(i).times.max).max)
     }
+    assert(spans.length == part.partitions.length)
+    spans
   }
 
   /** Fixed intervals on the edges of the partitions' entry-time spans. */
-  private def edgeIntervals(part: SNTIndex): Seq[FixedInterval] = {
+  private def edgeIntervals(part: SNTIndex, spans: Seq[(Long, Long)]): Seq[FixedInterval] = {
     val (tmin, tmax) = (part.tminGlobal, part.tmaxGlobal)
-    val spans = part.partitions.indices.map(w => (part.firstEntry(w), part.lastEntry(w)))
     Seq(FixedInterval(0, tmin), FixedInterval(tmin - 5000, tmin - 1),
         FixedInterval(tmax, tmax + 5000), FixedInterval(tmax - 1, tmax + 5000)) ++
       Seq(tmin, tmax, spans(1)._1, spans(1)._2).map(t => FixedInterval(t, t)) ++
@@ -227,11 +224,12 @@ class SNTIndexSpec extends AnyFunSuite {
   }
 
   test("pruned fixed-interval queries on 1-day and 7-day indexes equal the FULL index") {
-    for (part <- partIdx) {
+    for ((days, part) <- byDays) {
       assert(part.partitions.length > 1)
-      val ivs = edgeIntervals(part)
+      val spans = entrySpans(part, days)
+      val ivs = edgeIntervals(part, spans)
       // Paths entered exactly at a partition's first entry time match [first, first + 1).
-      val firstPaths = part.firstEntry.toSeq.flatMap(t => trajs.find(_.t0 == t))
+      val firstPaths = spans.flatMap { case (first, _) => trajs.find(_.t0 == first) }
         .map(tr => (tr.edges.take(3).toVector, tr.user))
       for ((path, u) <- samplePaths(106, 60) ++ firstPaths; iv <- ivs; user <- Seq(None, Some(u));
            beta <- Seq(None, Some(1), Some(3))) {
@@ -246,30 +244,11 @@ class SNTIndexSpec extends AnyFunSuite {
     }
   }
 
-  test("fixed intervals skip only the partitions whose entry-time span they miss") {
-    for (part <- partIdx; (path, _) <- samplePaths(107, 40) if path.length > 1; iv <- edgeIntervals(part)) {
-      val all = part.pathRanges(path)
-      val pruned = part.pathRanges(path, iv)
-      for (w <- part.partitions.indices) {
-        val misses = part.lastEntry(w) < iv.ts || part.firstEntry(w) >= iv.te
-        assert(pruned(w) == (if (misses) (0, 0) else all(w)), s"w=$w path=$path iv=$iv")
-      }
-      // Periodic intervals and single segments search every partition.
-      assert(part.pathRanges(path, PeriodicInterval(iv.ts, iv.ts + 900)).sameElements(all))
-      assert(part.pathRanges(path.take(1), iv).sameElements(part.pathRanges(path.take(1))))
-    }
-  }
-
   test("countPath counts every partition, also those a fixed interval skips") {
-    var skipped = 0
     for (part <- partIdx; (path, _) <- samplePaths(108, 60)) {
       val want = naiveCountPath(trajs.toSeq, path)
       assert(part.countPath(path) == want && fullIdx.countPath(path) == want, s"path=$path")
-      val oneSpan = FixedInterval(part.firstEntry(0), part.lastEntry(0) + 1)
-      val inSpan = part.pathRanges(path, oneSpan).map { case (st, ed) => ed - st }.sum
-      if (inSpan < want) skipped += 1
     }
-    assert(skipped > 0)
   }
 
   // ---- the widen ladder in one first-edge scan ---------------------------
@@ -351,7 +330,7 @@ class SNTIndexSpec extends AnyFunSuite {
         PeriodicInterval(0, day), PeriodicInterval(t, t))
       for (iv <- windows; user <- Seq(None, Some(u)); cap <- Seq(1, 3, 20, Int.MaxValue)) {
         val clue = s"days=$days path=$path iv=$iv user=$user cap=$cap"
-        val ranges = index.pathRanges(path, iv)
+        val ranges = index.pathRanges(path)
         val kept = recs.t.indices.filter { i =>
           val (st, ed) = ranges(recs.w(i))
           iv.contains(recs.t(i)) && recs.isa(i) >= st && recs.isa(i) < ed && user.forall(_ == index.users(recs.d(i)))
@@ -439,7 +418,7 @@ class SNTIndexSpec extends AnyFunSuite {
     } {
       val clue = s"$name path=$path ladder=${ladder.toSeq} user=$user beta=$beta relaxed=$relaxed"
       val cap = beta.getOrElse(Int.MaxValue)
-      val ranges = index.pathRanges(path, ladder.last)
+      val ranges = index.pathRanges(path)
       for (iv <- ladder) {
         val m = index.buildMap(path.head, ranges, iv, user, cap)
         val want = lastEdgeScan(index, path.last, l, m).map(_._2)
@@ -487,6 +466,82 @@ class SNTIndexSpec extends AnyFunSuite {
       reads += m.size
     }
     assert(reads > 100)
+  }
+
+  // ---- Procedure 2 on demand against a brute-force pass over the leaves ---
+
+  /** The partitions a ladder scan of `path` reaches, by brute force: the
+    * distinct w of the first edge's records inside the outermost rung, in
+    * position order, up to the record after which rung 0 holds `cap`
+    * matches.
+    */
+  private def reached(index: SNTIndex, path: Vector[Int], rungs: Array[TimeInterval], user: Option[Int],
+                      cap: Int): Set[Int] = {
+    val recs = index.records(path.head)
+    val ranges = index.pathRanges(path)
+    var held = 0
+    val ws = Set.newBuilder[Int]
+    for (i <- 0 until (if (recs == null) 0 else recs.size) if held < cap && rungs.last.contains(recs.t(i))) {
+      val (st, ed) = ranges(recs.w(i))
+      ws += recs.w(i)
+      if (rungs(0).contains(recs.t(i)) && recs.isa(i) >= st && recs.isa(i) < ed &&
+          user.forall(_ == index.users(recs.d(i)))) held += 1
+    }
+    ws.result()
+  }
+
+  test("answerLadder searches exactly the partitions its scan reaches, and X equals the FULL index's (TestScale)") {
+    val (tNet, tTrajs) = testScaleTrajs
+    val indexes = Seq(None, Some(1), Some(7)).map(d => SNTIndex.build(tNet, tTrajs, CssForest, d))
+    val full = indexes.head
+    val splitter = new Splitter(Vector(15L, 30L, 45L, 60L, 90L, 120L).map(_ * 60L), SigmaR, full)
+    val (tmin, tmax) = (full.tminGlobal, full.tmaxGlobal)
+    val rnd = new Random(114)
+    val paths = Seq.fill(30) {
+      val tr = tTrajs(rnd.nextInt(tTrajs.length))
+      val l = 1 + rnd.nextInt(math.min(4, tr.length))
+      val lo = rnd.nextInt(tr.length - l + 1)
+      (tr.edges.slice(lo, lo + l).toVector, tr.times(lo), tr.user)
+    }
+    // Two segments that each carry data but never follow one another.
+    val edges = tTrajs.flatMap(_.edges).distinct.sorted
+    val absent = edges.iterator.flatMap(a => edges.iterator.filter(_ != a).map(b => Vector(a, b)))
+      .find(p => full.countPath(p) == 0).get
+    val day = TimeInterval.DaySec
+    val kinds = collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+    for {
+      (path, t, u) <- paths :+ ((absent, tTrajs.head.t0, tTrajs.head.user))
+      tod = Math.floorMod(t, day)
+      ladder <- Seq(Array[TimeInterval](FixedInterval(0, tmin)),          // before the data
+                    Array[TimeInterval](FixedInterval(t - 50000, t + 50000)),
+                    Array[TimeInterval](FixedInterval(0, t + 1)),           // the SPQ-Only window, and its entry
+                    Array[TimeInterval](FixedInterval(tmax, tmax + 5000)), // after the data
+                    Array[TimeInterval](FixedInterval(t, t)),              // empty
+                    splitter.ladder(PeriodicInterval(tod - 450, tod + 450)).toArray[TimeInterval],
+                    splitter.ladder(PeriodicInterval(-450, 450)).toArray[TimeInterval], // wraps midnight
+                    Array[TimeInterval](PeriodicInterval(day - 600, day + 600)))
+      user <- Seq(None, Some(u))
+      beta <- Seq(Some(1), Some(3), Some(20), None)
+    } {
+      val q = Spq(path, ladder.head, user, beta, 0)
+      val want = full.answerLadder(q, ladder)
+      for (index <- indexes) {
+        val clue = s"W=${index.partitions.length} path=$path ladder=${ladder.toSeq} user=$user beta=$beta"
+        val work = new ScanWork
+        val (hit, x) = index.answerLadder(q, ladder, work)
+        val ws = reached(index, path, ladder, user, beta.getOrElse(Int.MaxValue))
+        assert(work.pathSearches == ws.size, clue)
+        assert(hit == want._1 && x.toSeq == want._2.toSeq, clue)
+        if (path == absent) {
+          assert(hit == -1 && x.isEmpty && work.pathSearches <= index.partitions.length, clue)
+          if (ws.nonEmpty) kinds("absent, searched") += 1
+        }
+        else if (index.partitions.length > 1)
+          kinds(if (ws.isEmpty) "none" else if (ws.size == 1) "one" else "several") += 1
+      }
+    }
+    info(kinds.toSeq.sorted.mkString(", "))
+    for (kind <- Seq("absent, searched", "none", "one", "several")) assert(kinds(kind) > 10, kind)
   }
 
   test("build rejects an entry time outside [0, 2^31)") {

@@ -70,6 +70,13 @@ class TripQuerySpec extends AnyFunSuite {
     assert(res.histogram.h == 10.0)
   }
 
+  test("a processor rejects a bucket width that is not finite and > 0") {
+    for (h <- Seq(0.0, -10.0, Double.NaN, Double.PositiveInfinity)) {
+      val e = intercept[IllegalArgumentException](new TripQueryProcessor(idx, new Splitter(A6, SigmaR, idx), h, None))
+      assert(e.getMessage.contains(s"bucket width h = $h"), s"h=$h")
+    }
+  }
+
   test("estimator-gated processing skips index calls when β̂ < β") {
     // ISA-only estimate for ⟨A,B,E⟩ is 2 < β=3 → skipped without dispatch.
     val est = new CardinalityEstimator(idx, NoStore, IsaOnly)

@@ -71,6 +71,14 @@ class HistogramSpec extends AnyFunSuite {
     assert(h.bucketOf(105.5) == 10)
   }
 
+  test("a bucket width that is not finite and > 0 is rejected") {
+    for (h <- Seq(0.0, -0.0, -10.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e1 = intercept[IllegalArgumentException](Histogram.create(Array(35.0, 42.0, 58.0), h))
+      assert(e1.getMessage.contains(s"bucket width h = $h; it must be finite and > 0"), s"h=$h")
+      intercept[IllegalArgumentException](Histogram(h, Map(0 -> 1.0)))
+    }
+  }
+
   test("create + convolution equals direct histogram of pairwise sums for point masses") {
     val xs = Array(10.0, 20.0)
     val ys = Array(5.0)
