@@ -41,7 +41,10 @@ final class SNTIndex(
 ) extends Serializable {
 
   /** Procedure 2 across temporal partitions: one ISA range per partition. */
-  def pathRanges(path: IndexedSeq[Int]): Array[(Int, Int)] = partitions.map(_.pathRange(path))
+  def pathRanges(path: IndexedSeq[Int]): Array[(Int, Int)] = {
+    requireEdges(path)
+    partitions.map(_.pathRange(path))
+  }
 
   /** Exact occurrence count of `path` over all partitions (the c_P of §4.4). */
   def countPath(path: IndexedSeq[Int]): Long = {
@@ -70,8 +73,10 @@ final class SNTIndex(
     * partition.
     */
   def scanLadder(edge: Int, ranges: Array[(Int, Int)], rungs: Array[_ <: TimeInterval],
-                 user: Option[Int], cap: Int, work: ScanWork = new ScanWork): SNTIndex.LadderScan =
+                 user: Option[Int], cap: Int, work: ScanWork = new ScanWork): SNTIndex.LadderScan = {
+    requireEdge(edge, 0)
     scanLadder(null, edge, ranges, rungs, user, cap, work)
+  }
 
   /** `scanLadder` for `path`, whose first edge is `edge`, where a null slot
     * of `ranges` marks a partition not searched yet: Procedure 2 runs in
@@ -152,6 +157,7 @@ final class SNTIndex(
     * position, the times come in the order a scan of the last edge finds them.
     */
   def probeMap(edge: Int, l: Int, m: SNTIndex.Matches, work: ScanWork = new ScanWork): Array[Double] = {
+    requireEdge(edge, l - 1)
     val first = m.recs
     val last = records(edge)
     val n = m.size
@@ -178,9 +184,13 @@ final class SNTIndex(
     * FM `$` separator, and the FM-index has no symbol for the others.
     */
   def requireEdges(path: IndexedSeq[Int]): Unit = {
-    val bad = path.indexWhere(e => e < 1 || e > net.numEdges)
-    require(bad < 0, s"edge id ${path(bad)} at path position $bad is outside [1, ${net.numEdges}]")
+    var k = 0
+    while (k < path.length) { requireEdge(path(k), k); k += 1 }
   }
+
+  /** `requireEdges` for the edge at position `at` of a path. */
+  private def requireEdge(edge: Int, at: Int): Unit =
+    require(edge >= 1 && edge <= net.numEdges, s"edge id $edge at path position $at is outside [1, ${net.numEdges}]")
 
   /** Count path matches under the predicates, stopping at `cap` — used by the
     * σ_L longest-prefix search and by tests.
@@ -321,6 +331,7 @@ object SNTIndex {
   def build(net: RoadNetwork, trajs: Array[Traj], treeType: TreeType = CssForest,
             partitionDays: Option[Int] = None): SNTIndex = {
     require(trajs.nonEmpty, "no trajectories")
+    require(partitionDays.forall(_ > 0), s"partition size ${partitionDays.get} days; it must be > 0")
     var leaves = 0L
     trajs.foreach { t =>
       require(t.length > 0, s"trajectory ${t.id} has no segments")

@@ -31,8 +31,6 @@ final class FMIndex(val n: Int, val sigma: Int, val counts: Array[Int],
     }
     (st, ed)
   }
-
-  def memoryBytes: Long = counts.length.toLong * 4 + bwtTree.memoryBytes + 32
 }
 
 object FMIndex {

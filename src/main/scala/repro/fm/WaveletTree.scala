@@ -4,7 +4,8 @@ package repro.fm
   *
   * Space: n bits payload + n/2 bits rank directory. This is the building
   * block of the wavelet tree (substitute for sdsl-lite's rank-support
-  * vectors, §6.2).
+  * vectors, §6.2). `bits` holds bit i at `bits(i >>> 6) >>> (i & 63)`; the
+  * bits past n must be 0.
   */
 final class RankBitVector(val n: Int, bits: Array[Long]) extends Serializable {
   private val rankDir: Array[Int] = {
@@ -13,6 +14,9 @@ final class RankBitVector(val n: Int, bits: Array[Long]) extends Serializable {
     while (i < bits.length) { dir(i + 1) = dir(i) + java.lang.Long.bitCount(bits(i)); i += 1 }
     dir
   }
+
+  /** Number of 0-bits in [0, n), from the directory's last entry. */
+  val zeros: Int = n - rankDir(bits.length)
 
   /** Number of 1-bits in [0, i). */
   def rank1(i: Int): Int = {
@@ -29,22 +33,17 @@ final class RankBitVector(val n: Int, bits: Array[Long]) extends Serializable {
   def memoryBytes: Long = bits.length.toLong * 8 + rankDir.length.toLong * 4 + 32
 }
 
-object RankBitVector {
-  def fromBooleans(b: Array[Boolean]): RankBitVector = {
-    val words = new Array[Long]((b.length + 63) >>> 6)
-    var i = 0
-    while (i < b.length) { if (b(i)) words(i >>> 6) |= 1L << (i & 63); i += 1 }
-    new RankBitVector(b.length, words)
-  }
-}
-
-/** Pointerless (level-wise) wavelet tree over an integer alphabet [0, sigma).
+/** Wavelet tree over an integer alphabet [0, sigma) in the wavelet-matrix
+  * layout (Claude, Navarro & Ordóñez, 2015).
   *
   * Supports rank_c(i) — the number of occurrences of symbol c in the first i
   * positions — in O(log sigma), which is what Procedure 2's backward search
-  * needs (§4.1.1). Each level stores one bit of every symbol; children of a
-  * node occupy the parent's interval at the next level (zeros left, ones
-  * right), so a query descends by interval arithmetic alone.
+  * needs (§4.1.1). Level l holds bit l of every symbol, most significant
+  * first, in the order the levels above left them; the next level's order
+  * is a stable partition by that bit, zeros first. So a position x at level
+  * l moves to `rank0(x)` when c's bit is 0 and to `zeros + rank1(x)` when
+  * it is 1, and after the last level c's occurrences form one block that
+  * position 0 leads into.
   */
 final class WaveletTree private (val n: Int, val sigma: Int, val levels: Int,
                                  lvl: Array[RankBitVector]) extends Serializable {
@@ -54,32 +53,33 @@ final class WaveletTree private (val n: Int, val sigma: Int, val levels: Int,
 
   /** rank(c, i) and rank(c, j) for 0 ≤ i ≤ j ≤ n in one descent, packed as
     * `rank(c, i) << 32 | rank(c, j)` (read back with `lower` / `upper`).
-    * Both bounds walk the same nodes, so a level costs four `rank0` calls
-    * instead of the six of two separate descents. The descent stops as soon
-    * as the bounds meet — c does not occur in [i, j) — and then returns two
-    * equal halves that need not be the ranks themselves. With i = 0 it stops
-    * only when both halves are 0, so `rank` stays exact.
+    * Three positions follow c's bits down: the block start 0, i and j, so a
+    * level costs three ranks; each rank is its position's distance from the
+    * block start at the bottom. The descent stops as soon as i and j meet —
+    * c does not occur in [i, j) — and then returns two equal halves that
+    * need not be the ranks themselves. With i = 0, i moves with the block
+    * start, so it stops only when both halves are 0 and `rank` stays exact.
     */
   def rankPair(c: Int, i: Int, j: Int): Long = {
     if (j <= i || c < 0 || c >= sigma) return 0L
-    var lo = 0
-    var hi = n
+    var p0 = 0
     var pi = i
     var pj = j
     var level = 0
     while (level < levels) {
       val bv = lvl(level)
-      val bit = (c >>> (levels - 1 - level)) & 1
-      val zerosBeforeLo = bv.rank0(lo)
-      val zerosI = bv.rank0(lo + pi) - zerosBeforeLo
-      val zerosJ = bv.rank0(lo + pj) - zerosBeforeLo
-      val zerosNode = bv.rank0(hi) - zerosBeforeLo
-      if (bit == 0) { pi = zerosI; pj = zerosJ; hi = lo + zerosNode }
-      else { pi -= zerosI; pj -= zerosJ; lo = lo + zerosNode }
-      if (pi == pj) return WaveletTree.pack(pi, pj)
+      // The ranks come before the branch on c's bit, which only picks how to
+      // use them (zeros + rank1(x) = zeros + x − rank0(x)): c's bits are
+      // unpredictable, and ranks taken inside the branch searched slower.
+      val z0 = bv.rank0(p0)
+      val zi = bv.rank0(pi)
+      val zj = bv.rank0(pj)
+      if (((c >>> (levels - 1 - level)) & 1) == 0) { p0 = z0; pi = zi; pj = zj }
+      else { p0 = bv.zeros + p0 - z0; pi = bv.zeros + pi - zi; pj = bv.zeros + pj - zj }
+      if (pi == pj) return WaveletTree.pack(pi - p0, pj - p0)
       level += 1
     }
-    WaveletTree.pack(pi, pj)
+    WaveletTree.pack(pi - p0, pj - p0)
   }
 
   def memoryBytes: Long = lvl.map(_.memoryBytes).sum + 48
@@ -92,34 +92,31 @@ object WaveletTree {
   /** rank(c, j) of a `rankPair` result. */
   @inline def upper(r: Long): Int = r.toInt
 
+  /** Two passes per level: one writes the level's bits, one partitions the
+    * symbols into the other buffer by them for the next level.
+    */
   def build(s: Array[Int], sigma: Int): WaveletTree = {
     val n = s.length
     val levels = math.max(1, 32 - Integer.numberOfLeadingZeros(math.max(1, sigma - 1)))
-    val cur = s.clone()
-    val next = new Array[Int](n)
+    var cur = s.clone()
+    var next = new Array[Int](n)
     val lvls = new Array[RankBitVector](levels)
     var level = 0
     while (level < levels) {
       val shift = levels - 1 - level
-      val bitsArr = new Array[Boolean](n)
+      val words = new Array[Long]((n + 63) >>> 6)
       var i = 0
-      while (i < n) { bitsArr(i) = ((cur(i) >>> shift) & 1) == 1; i += 1 }
-      lvls(level) = RankBitVector.fromBooleans(bitsArr)
-      // Stable partition within each node interval; with the level-wise
-      // layout this is a stable partition on the masked prefix of the symbol.
-      if (level < levels - 1) {
-        // Sort stably by the top (level+1) bits: zeros of each node go left.
-        // Implemented as a counting sort on the prefix bits.
-        val buckets = 1 << (level + 1)
-        val cnt = new Array[Int](buckets + 1)
-        i = 0
-        while (i < n) { cnt((cur(i) >>> shift) + 1) += 1; i += 1 }
-        i = 1
-        while (i <= buckets) { cnt(i) += cnt(i - 1); i += 1 }
-        i = 0
-        while (i < n) { val b = cur(i) >>> shift; next(cnt(b)) = cur(i); cnt(b) += 1; i += 1 }
-        System.arraycopy(next, 0, cur, 0, n)
+      while (i < n) { words(i >>> 6) |= ((cur(i) >>> shift) & 1L) << (i & 63); i += 1 }
+      val bv = new RankBitVector(n, words)
+      var zero = 0
+      var one = bv.zeros
+      i = 0
+      while (i < n) {
+        if (((cur(i) >>> shift) & 1) == 0) { next(zero) = cur(i); zero += 1 } else { next(one) = cur(i); one += 1 }
+        i += 1
       }
+      lvls(level) = bv
+      val t = cur; cur = next; next = t
       level += 1
     }
     new WaveletTree(n, math.max(1, sigma), levels, lvls)

@@ -15,7 +15,7 @@ import repro.traj.Traversal
   */
 final class HistogramStore(val bucketSec: Int,
                            val buckets: Map[(Int, Int), Array[Int]]) extends Serializable {
-  private val nBuckets = (DaySec / bucketSec).toInt
+  private val nBuckets = HistogramStore.bucketsPerDay(bucketSec)
 
   // Per-edge view: a selectivity lookup must only scan the edge's own
   // histograms (one per non-empty partition), not the whole store.
@@ -67,13 +67,23 @@ final class HistogramStore(val bucketSec: Int,
 }
 
 object HistogramStore {
-  /** Build from the traversal Dataset with a Catalyst aggregation.
-    * `partitionOf` maps an entry timestamp to its temporal-partition id
+  /** Buckets of `bucketSec` seconds in a day; the width must be > 0 and
+    * divide a day, so every time of day has a bucket.
+    */
+  private def bucketsPerDay(bucketSec: Int): Int = {
+    require(bucketSec > 0 && DaySec % bucketSec == 0, s"bucket width $bucketSec s; it must be > 0 and divide $DaySec")
+    (DaySec / bucketSec).toInt
+  }
+
+  /** Build from the traversal Dataset with a Catalyst aggregation. An entry
+    * timestamp's temporal-partition id is its day divided by `partitionDays`
     * (constant 0 when temporal partitioning is off).
     */
   def build(spark: SparkSession, traversals: Dataset[Traversal], bucketSec: Int,
             partitionDays: Option[Int] = None): HistogramStore = {
     import spark.implicits._
+    val nBuckets = bucketsPerDay(bucketSec)
+    require(partitionDays.forall(_ > 0), s"partition size ${partitionDays.get} days; it must be > 0")
     val part = partitionDays match {
       case Some(days) => (col("t") / lit(DaySec * days)).cast("int")
       case None       => lit(0)
@@ -83,7 +93,6 @@ object HistogramStore {
       .agg(count(lit(1)).as("c"))
       .as[(Int, Int, Int, Long)]
       .collect()
-    val nBuckets = (DaySec / bucketSec).toInt
     val m = collection.mutable.HashMap.empty[(Int, Int), Array[Int]]
     for ((edge, w, b, c) <- rows) {
       val arr = m.getOrElseUpdate((edge, w), new Array[Int](nBuckets))

@@ -12,9 +12,6 @@ object Category {
   val Secondary   = 3
   val Tertiary    = 4
   val Residential = 5
-  val All: Seq[Int] = 0 to 5
-  val names: Array[String] =
-    Array("motorway", "trunk", "primary", "secondary", "tertiary", "residential")
 
   /** Main roads: the categories π_MDM applies user filters to (§6.1). */
   val MainRoads: Set[Int] = Set(Motorway, Trunk, Primary)
@@ -26,8 +23,6 @@ object Zone {
   val Rural     = 1
   val Summer    = 2
   val Ambiguous = 3
-  val All: Seq[Int]         = 0 to 3
-  val names: Array[String]  = Array("city", "rural", "summer", "ambiguous")
 }
 
 /** Attributes F(e) = (category, zone, speed limit [km/h], length [m]) of one

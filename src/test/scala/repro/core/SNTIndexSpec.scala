@@ -112,6 +112,19 @@ class SNTIndexSpec extends AnyFunSuite {
       assert(e1.getMessage.contains(msg), s"path=$path iv=$iv")
       val e2 = intercept[IllegalArgumentException](idx.matchCountCapped(path, iv, None, 2))
       assert(e2.getMessage.contains(msg), s"path=$path iv=$iv")
+      // The FM-index and the forest entered directly: Procedure 2, c_P,
+      // Procedure 3 on the path's first edge and Procedure 4 on its last.
+      val e3 = intercept[IllegalArgumentException](idx.pathRanges(path))
+      assert(e3.getMessage.contains(msg), s"path=$path")
+      val e4 = intercept[IllegalArgumentException](idx.countPath(path))
+      assert(e4.getMessage.contains(msg), s"path=$path")
+      if (path.length == 1) {
+        val e5 = intercept[IllegalArgumentException](idx.buildMap(bad, idx.pathRanges(Vector(A)), iv, None, 2))
+        assert(e5.getMessage.contains(msg), s"edge=$bad iv=$iv")
+      }
+      val m = idx.buildMap(A, idx.pathRanges(Vector(A)), iv, None, 2)
+      val e6 = intercept[IllegalArgumentException](idx.probeMap(bad, path.length, m))
+      assert(e6.getMessage.contains(msg), s"path=$path iv=$iv")
     }
   }
 
@@ -562,6 +575,13 @@ class SNTIndexSpec extends AnyFunSuite {
       val bad = Traj(9, u1, Array(A, B), Array(0L, 3L), Array(3.0, tt))
       val e = intercept[IllegalArgumentException](SNTIndex.build(paperNetwork, paperTrajs :+ bad))
       assert(e.getMessage.contains(s"trajectory 9 has travel time $tt at position 1; it must be finite and > 0"))
+    }
+  }
+
+  test("build rejects a partition size that is not > 0") {
+    for (days <- Seq(0, -7)) {
+      val e = intercept[IllegalArgumentException](SNTIndex.build(paperNetwork, paperTrajs, CssForest, Some(days)))
+      assert(e.getMessage.contains(s"partition size $days days; it must be > 0"))
     }
   }
 

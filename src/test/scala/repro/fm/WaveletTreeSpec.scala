@@ -12,11 +12,14 @@ class WaveletTreeSpec extends AnyFunSuite {
     val rnd = new Random(11)
     for (_ <- 0 until 30) {
       val b = Array.fill(1 + rnd.nextInt(300))(rnd.nextBoolean())
-      val bv = RankBitVector.fromBooleans(b)
+      val words = new Array[Long]((b.length + 63) >>> 6)
+      for (i <- b.indices if b(i)) words(i >>> 6) |= 1L << (i & 63)
+      val bv = new RankBitVector(b.length, words)
       for (i <- 0 to b.length) {
         assert(bv.rank1(i) == b.take(i).count(identity))
         assert(bv.rank0(i) == i - b.take(i).count(identity))
       }
+      assert(bv.zeros == b.count(!_))
     }
   }
 

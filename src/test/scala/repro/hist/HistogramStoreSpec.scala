@@ -87,6 +87,20 @@ class HistogramStoreSpec extends SparkSpec {
     }
   }
 
+  test("a bucket width that does not divide a day or a partition size that is not > 0 is rejected") {
+    for (bucketSec <- Seq(7000, 0, -600)) {
+      val msg = s"bucket width $bucketSec s; it must be > 0 and divide 86400"
+      val e1 = intercept[IllegalArgumentException](HistogramStore.build(spark, ds, bucketSec))
+      assert(e1.getMessage.contains(msg))
+      val e2 = intercept[IllegalArgumentException](new HistogramStore(bucketSec, Map.empty))
+      assert(e2.getMessage.contains(msg))
+    }
+    for (days <- Seq(0, -7)) {
+      val e = intercept[IllegalArgumentException](HistogramStore.build(spark, ds, 600, Some(days)))
+      assert(e.getMessage.contains(s"partition size $days days; it must be > 0"))
+    }
+  }
+
   test("memory grows with partition count and with finer buckets") {
     val parted = HistogramStore.build(spark, ds, 600, partitionDays = Some(7))
     assert(parted.memoryBytes > store.memoryBytes)
